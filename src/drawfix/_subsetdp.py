@@ -4,12 +4,23 @@ A sub-bracket over a player subset S splits into two halves; to count
 each unordered split once, the half containing min(S) is always listed
 first.  The plan below enumerates, level by level (|S| = 2, 4, ..., n),
 every subset together with its halvings, as row indices into the
-previous level's table.  Sweeps over the plan then reduce to a few large
-matrix products per level.
+previous level's table.  Each level is built with numpy: the subsets of
+a level come from one member array, every parent shares one halving
+position pattern, and a dense ``2**n`` array maps a half's bitmask to
+its row in the previous level.
+
+Sweeps over the plan run level by level in blocks of whole parent
+subsets (about ``_BLOCK_ROWS`` halving rows each), writing into a
+preallocated level table, so temporaries stay a few megabytes at n = 16
+instead of the full |S| = 8 level.  The same block loop serves two
+recurrences: :func:`sweep` (float64 weights) and :func:`winner_masks`
+(packed bitmasks of the players who can win each sub-bracket).
 
 All sweep arithmetic runs in float64.  For n <= 16 the counting values
 stay below 2^53 (the full-draw total at n = 16 is 638,512,875 and every
 partial product is smaller still), so float64 arithmetic is exact there.
+Blocking changes no sum: each parent's k halvings are still added in
+plan order.
 """
 from __future__ import annotations
 
@@ -20,14 +31,17 @@ from math import comb
 
 import numpy as np
 
-__all__ = ["plan", "sweep", "halvings", "bit_indices", "combine_count"]
+__all__ = ["plan", "sweep", "winner_masks", "halvings", "bit_indices", "combine_count"]
+
+# Halving rows gathered per block of a level sweep; a block always holds
+# whole parent subsets, so a parent with more halvings gets a block alone.
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
 class Level:
     size: int
-    masks: tuple[int, ...]
-    index: dict
+    masks: np.ndarray
     k: int
     a_rows: np.ndarray
     b_rows: np.ndarray
@@ -57,41 +71,63 @@ def bit_indices(mask: int) -> list[int]:
     return out
 
 
+def _combinations(pool: int, size: int) -> np.ndarray:
+    """Every ``size``-subset of range(pool) in lexicographic order, one per row."""
+    count = comb(pool, size)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(pool), size))
+    return np.fromiter(flat, dtype=np.int64, count=count * size).reshape(count, size)
+
+
 @lru_cache(maxsize=None)
 def plan(n: int) -> Plan:
     if n < 1 or n & (n - 1):
         raise ValueError(f"plan needs a power-of-two size, got {n}")
     levels = []
-    prev_index = {1 << i: i for i in range(n)}
+    # row[mask] is the mask's row in its own level's table; levels hold
+    # disjoint subset sizes, so one array serves them all.
+    row = np.zeros(1 << n, dtype=np.intp)
+    row[1 << np.arange(n)] = np.arange(n)
     size = 2
     while size <= n:
-        masks = []
-        index = {}
-        a_rows = []
-        b_rows = []
         half = size // 2
-        for combo in itertools.combinations(range(n), size):
-            mask = sum(1 << c for c in combo)
-            index[mask] = len(masks)
-            masks.append(mask)
-            first = combo[0]
-            for sub in itertools.combinations(combo[1:], half - 1):
-                amask = (1 << first) + sum(1 << c for c in sub)
-                a_rows.append(prev_index[amask])
-                b_rows.append(prev_index[mask ^ amask])
+        bits = np.left_shift(1, _combinations(n, size))
+        masks = bits.sum(axis=1)
+        # Position 0 (the subset's minimum) always goes into A.
+        rest = _combinations(size - 1, half - 1) + 1
+        a_pos = np.hstack([np.zeros((len(rest), 1), dtype=np.int64), rest])
+        amasks = bits[:, a_pos].sum(axis=2)
+        bmasks = masks[:, None] - amasks
         levels.append(
             Level(
                 size=size,
-                masks=tuple(masks),
-                index=index,
-                k=comb(size - 1, half - 1),
-                a_rows=np.array(a_rows, dtype=np.intp),
-                b_rows=np.array(b_rows, dtype=np.intp),
+                masks=masks,
+                k=len(rest),
+                a_rows=row[amasks.ravel()],
+                b_rows=row[bmasks.ravel()],
             )
         )
-        prev_index = index
+        row[masks] = np.arange(len(masks))
         size *= 2
     return Plan(n=n, levels=tuple(levels))
+
+
+def _levels(p: Plan, table: np.ndarray, combine):
+    """Yield (level, table) for every level of the plan, bottom up.
+
+    ``table`` holds the singleton rows; ``combine(ta, tb, k)`` maps the
+    gathered half rows of a block to one row per parent subset.
+    """
+    for level in p.levels:
+        k = level.k
+        step = max(1, _BLOCK_ROWS // k)
+        out = np.empty((len(level.masks),) + table.shape[1:], dtype=table.dtype)
+        for start in range(0, len(out), step):
+            rows = slice(start * k, (start + step) * k)
+            out[start:start + step] = combine(
+                table[level.a_rows[rows]], table[level.b_rows[rows]], k
+            )
+        table = out
+        yield level, table
 
 
 def sweep(n: int, matrix: np.ndarray) -> np.ndarray:
@@ -101,15 +137,42 @@ def sweep(n: int, matrix: np.ndarray) -> np.ndarray:
     1/0 entries count draws, probabilities accumulate expected draws.
     Returns the length-n value vector for the full set.
     """
-    p = plan(n)
     mt = np.ascontiguousarray(np.asarray(matrix, dtype=float).T)
-    table = np.eye(n)
-    for level in p.levels:
-        ca = table[level.a_rows]
-        cb = table[level.b_rows]
+
+    def combine(ca, cb, k):
         contrib = ca * (cb @ mt) + cb * (ca @ mt)
-        table = contrib.reshape(-1, level.k, n).sum(axis=1)
+        return contrib.reshape(-1, k, n).sum(axis=1)
+
+    table = np.eye(n)
+    for _, table in _levels(plan(n), table, combine):
+        pass
     return table[0]
+
+
+def winner_masks(n: int, beats: np.ndarray) -> list[int]:
+    """Feasible-winner bitmask of every power-of-two-sized subset.
+
+    ``beats[i, j]`` is True when i beats j.  The result is indexed by
+    subset bitmask (other masks read 0).  A member of half A can win
+    A + B when it can win A and beats some possible winner of B, so with
+    ``lose[m]`` the mask of players beating some member of m, each level
+    is W(S) = OR over halvings of (W(A) & lose[W(B)]) | (W(B) & lose[W(A)]).
+    """
+    beaten_by = (np.asarray(beats, dtype=np.int64) << np.arange(n)[:, None]).sum(axis=0)
+    lose = np.zeros(1 << n, dtype=np.int64)
+    for j in range(n):
+        lose[1 << j:2 << j] = lose[:1 << j] | beaten_by[j]
+
+    def combine(wa, wb, k):
+        contrib = (wa & lose[wb]) | (wb & lose[wa])
+        return np.bitwise_or.reduce(contrib.reshape(-1, k), axis=1)
+
+    singles = 1 << np.arange(n, dtype=np.int64)
+    out = np.zeros(1 << n, dtype=np.int64)
+    out[singles] = singles
+    for level, table in _levels(plan(n), singles, combine):
+        out[level.masks] = table
+    return out.tolist()
 
 
 def combine_count(n: int) -> int:

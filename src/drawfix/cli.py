@@ -53,6 +53,7 @@ from .solver import (
     kings,
 )
 from .stats import (
+    MIN_SCAN_STEP,
     EmpiricalSample,
     ccdf_points,
     fit_lognormal,
@@ -60,7 +61,12 @@ from .stats import (
     likelihood_ratio_test,
     scan_cr,
 )
-from .winprob import exact_uniform_win_probs, sample_uniform_win_probs
+from .winprob import (
+    MAX_SAMPLES,
+    MAX_WORKERS,
+    exact_uniform_win_probs,
+    sample_uniform_win_probs,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -494,10 +500,12 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("exact", "per-draw-exact", "full-simulation"),
                          default="exact", help="exact dynamic program or sampling")
     winprob.add_argument("--samples", type=int, default=200_000,
-                         help="number of sampled draws (default 200000)")
+                         help="number of sampled draws (default 200000, "
+                              f"at most {MAX_SAMPLES})")
     winprob.add_argument("--seed", type=int, default=0, help="sampling seed")
     winprob.add_argument("--workers", type=int, default=1,
-                         help="worker threads for sampling (default 1)")
+                         help="worker threads for sampling (default 1, "
+                              f"at most {MAX_WORKERS})")
     winprob.set_defaults(func=cmd_winprob)
 
     scan = sub.add_parser("scan",
@@ -505,7 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_opts(scan)
     _add_output_opts(scan)
     scan.add_argument("--step", type=float, default=0.01,
-                      help="grid step over upset probabilities (default 0.01)")
+                      help="grid step over upset probabilities (default 0.01, "
+                           f"at least {MIN_SCAN_STEP})")
     scan.add_argument("--threshold", type=float, default=0.05,
                       help="KS acceptance p-value threshold (default 0.05)")
     scan.set_defaults(func=cmd_scan)

@@ -102,6 +102,8 @@ def count_winning_draws(t: DeterministicTournament) -> WinCountReport:
     n = _check_instance(t)
     start = time.perf_counter()
     values = _subsetdp.sweep(n, t.beats.astype(float))
+    if np.abs(values - np.round(values)).max() > 1e-6:
+        raise RuntimeError("count recurrence produced a fractional count; this is a bug")
     counts = tuple(int(round(v)) for v in values)
     total = num_draws(n)
     if sum(counts) != total:
@@ -122,26 +124,6 @@ def count_winning_draws(t: DeterministicTournament) -> WinCountReport:
 def _beats_bits(t: DeterministicTournament) -> list[int]:
     bitvals = 1 << np.arange(t.n, dtype=np.int64)
     return [int(row @ bitvals) for row in t.beats.astype(np.int64)]
-
-
-def _winner_masks(t: DeterministicTournament) -> dict[int, int]:
-    """Feasible winner bitmask for every power-of-two-sized subset."""
-    n = t.n
-    p = _subsetdp.plan(n)
-    bt = np.ascontiguousarray(t.beats.T.astype(float))
-    bitvals = 1 << np.arange(n, dtype=np.int64)
-    table = np.eye(n)
-    out = {1 << i: 1 << i for i in range(n)}
-    for level in p.levels:
-        wa = table[level.a_rows]
-        wb = table[level.b_rows]
-        contrib = wa * ((wb @ bt) > 0.5) + wb * ((wa @ bt) > 0.5)
-        feasible = contrib.reshape(-1, level.k, n).sum(axis=1) > 0.5
-        table = feasible.astype(float)
-        packed = feasible.astype(np.int64) @ bitvals
-        for mask, wm in zip(level.masks, packed):
-            out[mask] = int(wm)
-    return out
 
 
 def _assemble(mask, winner, wm, beats, stats) -> tuple[int, ...]:
@@ -176,7 +158,7 @@ def find_winning_draw(t: DeterministicTournament, target: int) -> FindResult:
     n = _check_instance(t, target)
     start = time.perf_counter()
     stats = SearchStats()
-    wm = _winner_masks(t)
+    wm = _subsetdp.winner_masks(n, t.beats)
     full = (1 << n) - 1
     if not wm[full] >> target & 1:
         stats.elapsed = time.perf_counter() - start
@@ -228,7 +210,7 @@ def enumerate_winning_draws(
 
     def run():
         start = time.perf_counter()
-        wm = _winner_masks(t)
+        wm = _subsetdp.winner_masks(n, t.beats)
         full = (1 << n) - 1
         if wm[full] >> target & 1:
             beats = _beats_bits(t)

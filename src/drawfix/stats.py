@@ -402,6 +402,10 @@ def likelihood_ratio_test(
     return LrtResult(r=r, p_value=p, first=first.family, second=second.family)
 
 
+# Finest scan grid: at most 500 points, each one exact sweep.
+MIN_SCAN_STEP = 0.001
+
+
 @lru_cache(maxsize=None)
 def _cr_win_prob_sample(n: int, upset_prob: float) -> EmpiricalSample:
     vec = exact_uniform_win_probs(generate_cr(CrParams(n, upset_prob)))
@@ -440,6 +444,8 @@ def scan_cr(
     KS test (module defaults) is run against the reference; a grid point
     is accepted when its p-value reaches ``threshold``.  The reference
     holds one win probability per player, so its size must equal n.
+    ``step`` must lie in [MIN_SCAN_STEP, 0.5], so a scan runs at most
+    500 exact sweeps.
 
     ``reference_avg_upset`` is carried through to the report; pass the
     value from :func:`drawfix.crmodel.average_upset_probability` when
@@ -449,8 +455,8 @@ def scan_cr(
         raise ValueError(
             f"reference must hold one win probability per player ({n}), got {reference.size}"
         )
-    if not 0.0 < step <= 0.5:
-        raise ValueError("step must lie in (0, 0.5]")
+    if not MIN_SCAN_STEP <= step <= 0.5:
+        raise ValueError(f"step must lie in [{MIN_SCAN_STEP}, 0.5], got {step}")
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
     steps = []

@@ -171,6 +171,17 @@ class TestScan:
         assert len(lines) == 6
 
 
+class TestResourceLimits:
+    @pytest.mark.parametrize("argv", [
+        ["winprob", "--mode", "per-draw-exact", "--workers", "65"],
+        ["winprob", "--mode", "full-simulation", "--samples", "10000001"],
+        ["scan", "--step", "1e-9"],
+    ])
+    def test_out_of_range_exit_two(self, argv, cycle4_path, capsys):
+        assert main(argv + ["--input", cycle4_path]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 class TestFit:
     def test_json_fields(self, tmp_path):
         path = tmp_path / "cr16.json"

@@ -14,6 +14,7 @@ from drawfix import (
     num_draws,
     simulate,
 )
+from drawfix import _subsetdp
 from drawfix._subsetdp import combine_count
 
 import oracle
@@ -71,6 +72,11 @@ class TestCountWinningDraws:
     def test_too_large(self):
         with pytest.raises(ResourceLimitError):
             count_winning_draws(transitive(32))
+
+    def test_fractional_count_is_a_bug(self, cycle4, monkeypatch):
+        monkeypatch.setattr(_subsetdp, "sweep", lambda n, m: np.array([1.0, 1.0, 0.5, 0.5]))
+        with pytest.raises(RuntimeError, match="bug"):
+            count_winning_draws(cycle4)
 
 
 class TestFindWinningDraw:

@@ -337,6 +337,12 @@ class TestScanCr:
         assert grid[-1] == 0.5
         assert len(grid) == 10
 
+    def test_step_bounds(self):
+        reference = EmpiricalSample.from_values([0.1, 0.2, 0.3, 0.4])
+        for step in (0.0, 1e-9, 0.000999, 0.51):
+            with pytest.raises(ValueError, match="step"):
+                scan_cr(reference, 4, step=step)
+
     def test_size_mismatch_rejected(self):
         reference = EmpiricalSample.from_values([0.1, 0.2, 0.3])
         with pytest.raises(ValueError):

@@ -1,0 +1,99 @@
+import itertools
+import os
+import subprocess
+import sys
+import tracemalloc
+from math import comb
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import random_deterministic, random_probabilistic
+from drawfix import _subsetdp
+
+import oracle
+
+
+def reference_plan(n):
+    """Per level: (masks, k, a_rows, b_rows) built with plain itertools."""
+    levels = []
+    prev_index = {1 << i: i for i in range(n)}
+    size = 2
+    while size <= n:
+        masks, index, a_rows, b_rows = [], {}, [], []
+        for combo in itertools.combinations(range(n), size):
+            mask = sum(1 << c for c in combo)
+            index[mask] = len(masks)
+            masks.append(mask)
+            for sub in itertools.combinations(combo[1:], size // 2 - 1):
+                amask = (1 << combo[0]) + sum(1 << c for c in sub)
+                a_rows.append(prev_index[amask])
+                b_rows.append(prev_index[mask ^ amask])
+        levels.append((masks, comb(size - 1, size // 2 - 1), a_rows, b_rows))
+        prev_index = index
+        size *= 2
+    return levels
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_plan_matches_itertools_reference(n):
+    levels = _subsetdp.plan(n).levels
+    expected = reference_plan(n)
+    assert len(levels) == len(expected)
+    for level, (masks, k, a_rows, b_rows) in zip(levels, expected):
+        assert level.masks.dtype == np.int64
+        assert level.masks.tolist() == masks
+        assert level.k == k
+        assert level.a_rows.tolist() == a_rows
+        assert level.b_rows.tolist() == b_rows
+
+
+def test_plan_rejects_non_power_of_two():
+    for n in (0, 3, 12):
+        with pytest.raises(ValueError):
+            _subsetdp.plan(n)
+
+
+def feasible_winners(members, beats):
+    return {oracle.tree_winner(tree, beats) for tree in oracle.all_draws(members)}
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_winner_masks_match_oracle(n):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(4):
+        t = random_deterministic(n, rng)
+        wm = _subsetdp.winner_masks(n, t.beats)
+        assert len(wm) == 1 << n
+        for mask in range(1, 1 << n):
+            members = _subsetdp.bit_indices(mask)
+            if len(members) & (len(members) - 1):
+                assert wm[mask] == 0
+                continue
+            winners = feasible_winners(members, t.beats)
+            assert _subsetdp.bit_indices(wm[mask]) == sorted(winners)
+
+
+def test_sweep_is_blocked():
+    # A warm sweep at the exact limit keeps its temporaries to a few
+    # blocks instead of the full |S| = 8 level (about 230 MB unblocked).
+    t = random_probabilistic(16, np.random.default_rng(44))
+    _subsetdp.sweep(16, t.probs)
+    tracemalloc.start()
+    try:
+        _subsetdp.sweep(16, t.probs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_cli_import_builds_no_plan():
+    src = Path(_subsetdp.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import drawfix.cli, drawfix._subsetdp as s; "
+            "print(s.plan.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "0"

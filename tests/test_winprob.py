@@ -11,6 +11,7 @@ from drawfix import (
     num_draws,
     sample_uniform_win_probs,
 )
+from drawfix.winprob import MAX_SAMPLES, MAX_WORKERS
 
 import oracle
 
@@ -99,6 +100,15 @@ class TestSampled:
         t = generate_cr(CrParams(n=4, upset_prob=0.25))
         with pytest.raises(ValueError):
             sample_uniform_win_probs(t, samples=0)
+        with pytest.raises(ValueError, match="samples"):
+            sample_uniform_win_probs(t, samples=MAX_SAMPLES + 1)
+
+    def test_worker_count_validation(self):
+        # rejected before any thread starts
+        t = generate_cr(CrParams(n=4, upset_prob=0.25))
+        for workers in (0, MAX_WORKERS + 1, 10**6):
+            with pytest.raises(ValueError, match="workers"):
+                sample_uniform_win_probs(t, samples=10, workers=workers)
 
     def test_unknown_mode(self):
         t = generate_cr(CrParams(n=4, upset_prob=0.25))
