@@ -31,6 +31,8 @@ from math import comb
 
 import numpy as np
 
+from .core import require_exact_size
+
 __all__ = ["plan", "sweep", "winner_masks", "halvings", "bit_indices", "combine_count"]
 
 # Halving rows gathered per block of a level sweep; a block always holds
@@ -80,8 +82,7 @@ def _combinations(pool: int, size: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def plan(n: int) -> Plan:
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"plan needs a power-of-two size, got {n}")
+    require_exact_size(n)
     levels = []
     # row[mask] is the mask's row in its own level's table; levels hold
     # disjoint subset sizes, so one array serves them all.

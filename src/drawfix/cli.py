@@ -37,6 +37,7 @@ from .crmodel import CrParams, average_upset_probability, generate_cr
 from .ingest import (
     H2H_HEADER,
     MATCHES_HEADER,
+    _write_rows,
     read_h2h,
     read_matches,
     read_prob_matrix,
@@ -148,11 +149,8 @@ def _write_machine(
             json.dump(doc, fh, sort_keys=True, indent=2)
             fh.write("\n")
     else:
-        with open(output, "w", newline="", encoding="utf-8") as fh:
-            fh.write(",".join(csv_header) + "\n")
-            writer = csv.writer(fh, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
-            for row in csv_rows:
-                writer.writerow(["" if v is None else v for v in row])
+        _write_rows(output, csv_header,
+                    (["" if v is None else v for v in row] for row in csv_rows))
 
 
 def _fmt_opt(value, fmt: str = "") -> str:

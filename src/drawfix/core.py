@@ -51,13 +51,19 @@ def as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and n & (n - 1) == 0
+def require_bracket_size(n: int) -> None:
+    """Raise ValueError unless n players fill a balanced bracket."""
+    if n < 1 or n & (n - 1):
+        raise ValueError(f"bracket size must be a power of two, got {n} players")
 
 
-def _require_bracket_size(n: int) -> None:
-    if not _is_power_of_two(n):
-        raise ValueError(f"bracket size must be a power of two, got {n}")
+def require_exact_size(n: int) -> None:
+    """Also raise ResourceLimitError when n exceeds MAX_EXACT_PLAYERS."""
+    require_bracket_size(n)
+    if n > MAX_EXACT_PLAYERS:
+        raise ResourceLimitError(
+            f"exact methods are limited to {MAX_EXACT_PLAYERS} players, got {n}"
+        )
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -189,7 +195,7 @@ class ProbabilisticTournament:
 
 def num_draws(n: int) -> int:
     """Number of distinct unordered draws over n = 2^c players, exactly."""
-    _require_bracket_size(n)
+    require_bracket_size(n)
     return math.factorial(n) // 2 ** (n - 1)
 
 
@@ -207,9 +213,7 @@ def _canon(seg: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
 def canonicalize(leaves: Iterable[int]) -> "Draw":
     """Canonical draw for any leaf ordering of the same bracket tree."""
     seq = tuple(leaves)
-    _require_bracket_size(len(seq))
-    if sorted(seq) != list(range(len(seq))):
-        raise ValueError("leaves must be a permutation of 0..n-1")
+    require_bracket_size(len(seq))  # Draw checks the rest; _canon needs a size
     return Draw(_canon(seq)[0])
 
 
@@ -227,7 +231,7 @@ class Draw:
     def __post_init__(self):
         seq = tuple(self.leaves)
         object.__setattr__(self, "leaves", seq)
-        _require_bracket_size(len(seq))
+        require_bracket_size(len(seq))
         if sorted(seq) != list(range(len(seq))):
             raise ValueError("leaves must be a permutation of 0..n-1")
         if _canon(seq)[0] != seq:
@@ -258,7 +262,7 @@ def random_draw(n: int, rng: RngLike) -> Draw:
     over draws, because every draw has the same number (2^(n-1)) of
     permutation preimages.
     """
-    _require_bracket_size(n)
+    require_bracket_size(n)
     gen = as_rng(rng)
     return canonicalize(int(x) for x in gen.permutation(n))
 
@@ -274,34 +278,41 @@ def simulate(draw: Draw, t: DeterministicTournament) -> int:
     return alive[0]
 
 
+def bracket_survival(probs: np.ndarray, leaves: np.ndarray) -> np.ndarray:
+    """Win probability of every leaf, for a batch of brackets at once.
+
+    ``leaves`` holds one leaf order per row (shape b x n); the result has
+    the same shape and gives each leaf's chance to win its bracket.
+    Round by round, a player's survival probability is its previous
+    survival times the chance of beating whichever opponent emerges from
+    the sibling block.
+    """
+    b, n = leaves.shape
+    surv = np.ones((b, n))
+    block = 1
+    while block < n:
+        ids = leaves.reshape(b, -1, 2, block)
+        s = surv.reshape(b, -1, 2, block)
+        left, right = ids[:, :, 0, :], ids[:, :, 1, :]
+        p_lr = probs[left[..., :, None], right[..., None, :]]
+        p_rl = probs[right[..., :, None], left[..., None, :]]
+        nxt = np.empty_like(s)
+        nxt[:, :, 0, :] = s[:, :, 0, :] * (p_lr * s[:, :, 1, :][..., None, :]).sum(axis=-1)
+        nxt[:, :, 1, :] = s[:, :, 1, :] * (p_rl * s[:, :, 0, :][..., None, :]).sum(axis=-1)
+        surv = nxt.reshape(b, n)
+        block *= 2
+    return surv
+
+
 def draw_win_probabilities(draw: Draw, t: ProbabilisticTournament) -> np.ndarray:
     """Probability that each player wins this specific draw.
 
-    Round by round: a player's survival probability is its previous
-    survival times the chance of beating whichever opponent emerges from
-    the sibling block.  The returned vector is indexed by player id and
-    sums to 1 (within accumulation error).
+    The returned vector is indexed by player id and sums to 1 (within
+    accumulation error).
     """
     if draw.n != t.n:
         raise ValueError(f"draw has {draw.n} leaves but tournament has {t.n} players")
-    n = t.n
-    probs = t.probs
-    order = np.array(draw.leaves, dtype=np.intp)
-    surv = np.ones(n)
-    block = 1
-    while block < n:
-        ids = order.reshape(-1, 2, block)
-        s = surv.reshape(-1, 2, block)
-        left, right = ids[:, 0, :], ids[:, 1, :]
-        p_lr = probs[left[:, :, None], right[:, None, :]]
-        p_rl = probs[right[:, :, None], left[:, None, :]]
-        new_left = s[:, 0, :] * (p_lr * s[:, 1, :][:, None, :]).sum(axis=2)
-        new_right = s[:, 1, :] * (p_rl * s[:, 0, :][:, None, :]).sum(axis=2)
-        nxt = np.empty_like(s)
-        nxt[:, 0, :] = new_left
-        nxt[:, 1, :] = new_right
-        surv = nxt.reshape(-1)
-        block *= 2
-    out = np.empty(n)
-    out[order] = surv
+    order = np.array([draw.leaves], dtype=np.intp)
+    out = np.empty(t.n)
+    out[order[0]] = bracket_survival(t.probs, order)[0]
     return out

@@ -16,6 +16,7 @@ from .core import (
     PlayerTable,
     ProbabilisticTournament,
     as_rng,
+    require_bracket_size,
 )
 
 __all__ = [
@@ -38,8 +39,7 @@ class CrParams:
     upset_prob: float
 
     def __post_init__(self):
-        if self.n < 1 or self.n & (self.n - 1):
-            raise ValueError(f"n must be a power of two, got {self.n}")
+        require_bracket_size(self.n)
         if not 0.0 < self.upset_prob <= 0.5:
             raise ValueError(
                 f"upset_prob must lie in (0.0, 0.5], got {self.upset_prob}"

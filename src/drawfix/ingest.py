@@ -371,10 +371,15 @@ def read_prob_matrix(path) -> ProbabilisticTournament:
         doc = json.loads(text)
         if doc.get("format") != PROB_MATRIX_FORMAT:
             raise ValueError(f"{path}: not a {PROB_MATRIX_FORMAT} file")
-        players = PlayerTable(
-            names=tuple(doc["names"]), ranks=tuple(int(r) for r in doc["ranks"])
-        )
-        return ProbabilisticTournament(players=players, probs=np.array(doc["probs"]))
+        names, ranks, probs = doc.get("names"), doc.get("ranks"), doc.get("probs")
+        if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+            raise ValueError(f"{path}: 'names' must be a list of strings")
+        if not isinstance(ranks, list) or not all(type(r) is int for r in ranks):
+            raise ValueError(f"{path}: 'ranks' must be a list of integers")
+        if not isinstance(probs, list):
+            raise ValueError(f"{path}: 'probs' must be a list")
+        players = PlayerTable(names=tuple(names), ranks=tuple(ranks))
+        return ProbabilisticTournament(players=players, probs=np.array(probs))
     rows = list(csv.reader(text.splitlines()))
     if not rows or not rows[0] or rows[0][0] != "name":
         raise ValueError(f"{path}: unknown header for a probability matrix")

@@ -1,10 +1,11 @@
 """Seeding manipulation: which draws hand the title to a chosen player.
 
-Counting runs an exact recurrence over player subsets (see _subsetdp).
-Search and enumeration assemble winning brackets depth-first, pruning
-any sub-bracket whose feasible winner set cannot supply what the parent
-requires.  The two routes are independent: tests cross-check them
-against each other and against brute-force enumeration.
+Enumeration assembles winning brackets depth-first, pruning any
+sub-bracket whose feasible winner set cannot supply what the parent
+requires; search returns the first draw of that same descent.  Counting
+is the independent route: an exact recurrence over player subsets (see
+_subsetdp).  Tests cross-check the two against each other and against
+brute-force enumeration.
 """
 from __future__ import annotations
 
@@ -15,11 +16,10 @@ import numpy as np
 
 from . import _subsetdp
 from .core import (
-    MAX_EXACT_PLAYERS,
     DeterministicTournament,
     Draw,
-    ResourceLimitError,
     num_draws,
+    require_exact_size,
 )
 
 __all__ = [
@@ -84,22 +84,16 @@ class DrawStream:
         return next(self._gen)
 
 
-def _check_instance(t: DeterministicTournament, target: int | None = None) -> int:
-    n = t.n
-    if n & (n - 1):
-        raise ValueError(f"bracket size must be a power of two, got {n} players")
-    if n > MAX_EXACT_PLAYERS:
-        raise ResourceLimitError(
-            f"exact solving is limited to {MAX_EXACT_PLAYERS} players, got {n}"
-        )
-    if target is not None and not 0 <= target < n:
-        raise ValueError(f"target must be a player id in 0..{n - 1}, got {target}")
-    return n
+def _check_target(t: DeterministicTournament, target: int) -> None:
+    require_exact_size(t.n)
+    if not 0 <= target < t.n:
+        raise ValueError(f"target must be a player id in 0..{t.n - 1}, got {target}")
 
 
 def count_winning_draws(t: DeterministicTournament) -> WinCountReport:
     """Exact number of draws each player would win, summing to num_draws(n)."""
-    n = _check_instance(t)
+    n = t.n
+    require_exact_size(n)
     start = time.perf_counter()
     values = _subsetdp.sweep(n, t.beats.astype(float))
     if np.abs(values - np.round(values)).max() > 1e-6:
@@ -126,72 +120,57 @@ def _beats_bits(t: DeterministicTournament) -> list[int]:
     return [int(row @ bitvals) for row in t.beats.astype(np.int64)]
 
 
-def _assemble(mask, winner, wm, beats, stats) -> tuple[int, ...]:
-    # Constructive descent: the feasibility tables guarantee progress,
-    # so the first viable halving is always taken.
-    if mask == 1 << winner:
-        return (winner,)
-    wbit = 1 << winner
-    for a, b in _subsetdp.halvings(mask):
-        stats.choice_points += 1
-        if wbit & a:
-            if not wm[a] & wbit:
-                continue
-            opp = wm[b] & beats[winner]
-            if not opp:
-                continue
-            j = (opp & -opp).bit_length() - 1
-            return _assemble(a, winner, wm, beats, stats) + _assemble(b, j, wm, beats, stats)
-        else:
-            if not wm[b] & wbit:
-                continue
-            opp = wm[a] & beats[winner]
-            if not opp:
-                continue
-            j = (opp & -opp).bit_length() - 1
-            return _assemble(a, j, wm, beats, stats) + _assemble(b, winner, wm, beats, stats)
-    raise RuntimeError("feasible winner tables are inconsistent; this is a bug")
-
-
-def find_winning_draw(t: DeterministicTournament, target: int) -> FindResult:
-    """Find one draw that makes ``target`` the champion, if any exists."""
-    n = _check_instance(t, target)
-    start = time.perf_counter()
-    stats = SearchStats()
-    wm = _subsetdp.winner_masks(n, t.beats)
-    full = (1 << n) - 1
-    if not wm[full] >> target & 1:
-        stats.elapsed = time.perf_counter() - start
-        return FindResult(None, stats)
-    leaves = _assemble(full, target, wm, _beats_bits(t), stats)
-    stats.solutions_found = 1
-    stats.elapsed = time.perf_counter() - start
-    return FindResult(Draw(leaves), stats)
-
-
 def _enum(mask, winner, wm, beats, stats):
+    # A halving is viable when the winner can win its own half and the
+    # other half has a possible winner that it beats.  The feasibility
+    # tables rule out dead ends: every viable halving yields a draw.
     if mask == 1 << winner:
         yield (winner,)
         return
     wbit = 1 << winner
     for a, b in _subsetdp.halvings(mask):
         stats.choice_points += 1
-        if wbit & a:
-            if not wm[a] & wbit:
-                continue
-            opps = wm[b] & beats[winner]
+        own, other = (a, b) if wbit & a else (b, a)
+        opps = wm[other] & beats[winner]
+        if not wm[own] & wbit or not opps:
+            continue
+        if own == a:
             for left in _enum(a, winner, wm, beats, stats):
                 for j in _subsetdp.bit_indices(opps):
                     for right in _enum(b, j, wm, beats, stats):
                         yield left + right
         else:
-            if not wm[b] & wbit:
-                continue
-            opps = wm[a] & beats[winner]
             for j in _subsetdp.bit_indices(opps):
                 for left in _enum(a, j, wm, beats, stats):
                     for right in _enum(b, winner, wm, beats, stats):
                         yield left + right
+
+
+def _draws(t, target, limit, stats):
+    # The descent behind both find and enumerate.  It stops right after
+    # the limit-th draw, without searching for the next one.
+    start = time.perf_counter()
+    n = t.n
+    wm = _subsetdp.winner_masks(n, t.beats)
+    full = (1 << n) - 1
+    if limit != 0 and wm[full] >> target & 1:
+        for leaves in _enum(full, target, wm, _beats_bits(t), stats):
+            stats.solutions_found += 1
+            stats.elapsed = time.perf_counter() - start
+            yield Draw(leaves)
+            if stats.solutions_found == limit:
+                break
+    stats.elapsed = time.perf_counter() - start
+
+
+def find_winning_draw(t: DeterministicTournament, target: int) -> FindResult:
+    """Find one draw that makes ``target`` the champion, if any exists.
+
+    The draw is the first one enumerate_winning_draws would yield.
+    """
+    _check_target(t, target)
+    stats = SearchStats()
+    return FindResult(next(_draws(t, target, 1, stats), None), stats)
 
 
 def enumerate_winning_draws(
@@ -203,26 +182,11 @@ def enumerate_winning_draws(
     .counts[target] distinct draws.  The order is deterministic but not
     part of the contract.
     """
-    n = _check_instance(t, target)
+    _check_target(t, target)
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
     stats = SearchStats()
-
-    def run():
-        start = time.perf_counter()
-        wm = _subsetdp.winner_masks(n, t.beats)
-        full = (1 << n) - 1
-        if wm[full] >> target & 1:
-            beats = _beats_bits(t)
-            for leaves in _enum(full, target, wm, beats, stats):
-                if limit is not None and stats.solutions_found >= limit:
-                    break
-                stats.solutions_found += 1
-                stats.elapsed = time.perf_counter() - start
-                yield Draw(leaves)
-        stats.elapsed = time.perf_counter() - start
-
-    return DrawStream(run(), stats)
+    return DrawStream(_draws(t, target, limit, stats), stats)
 
 
 def kings(t: DeterministicTournament) -> tuple[int, ...]:

@@ -406,7 +406,9 @@ def likelihood_ratio_test(
 MIN_SCAN_STEP = 0.001
 
 
-@lru_cache(maxsize=None)
+# Holds the largest single scan, so scans with different steps in one
+# process cannot grow it without bound.
+@lru_cache(maxsize=round(0.5 / MIN_SCAN_STEP))
 def _cr_win_prob_sample(n: int, upset_prob: float) -> EmpiricalSample:
     vec = exact_uniform_win_probs(generate_cr(CrParams(n, upset_prob)))
     return EmpiricalSample.from_values(vec.entries, label=f"cr-{upset_prob:g}")

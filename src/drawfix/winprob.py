@@ -17,11 +17,12 @@ import numpy as np
 
 from . import _subsetdp
 from .core import (
-    MAX_EXACT_PLAYERS,
     ProbabilisticTournament,
-    ResourceLimitError,
     as_rng,
+    bracket_survival,
     num_draws,
+    require_bracket_size,
+    require_exact_size,
 )
 
 __all__ = ["WinProbVector", "exact_uniform_win_probs", "sample_uniform_win_probs"]
@@ -67,12 +68,7 @@ class WinProbVector:
 def exact_uniform_win_probs(t: ProbabilisticTournament) -> WinProbVector:
     """Exact probability of winning a uniformly drawn bracket, per player."""
     n = t.n
-    if n & (n - 1):
-        raise ValueError(f"bracket size must be a power of two, got {n} players")
-    if n > MAX_EXACT_PLAYERS:
-        raise ResourceLimitError(
-            f"exact win probabilities are limited to {MAX_EXACT_PLAYERS} players, got {n}"
-        )
+    require_exact_size(n)
     values = _subsetdp.sweep(n, t.probs)
     entries = tuple(float(v) for v in values / num_draws(n))
     return WinProbVector(entries=entries, method="exact")
@@ -84,27 +80,11 @@ def _batch_permutations(n: int, b: int, gen: np.random.Generator) -> np.ndarray:
 
 
 def _per_draw_exact_batch(probs, n, b, gen) -> np.ndarray:
-    # Survival probabilities for all sampled brackets at once, round by
-    # round over sibling blocks.  Canonicalising the sampled leaf orders
-    # would not change any bracket's win vector, so it is skipped.
+    # Canonicalising the sampled leaf orders would not change any
+    # bracket's win vector, so it is skipped.
     perms = _batch_permutations(n, b, gen)
-    surv = np.ones((b, n))
-    block = 1
-    while block < n:
-        ids = perms.reshape(b, -1, 2, block)
-        s = surv.reshape(b, -1, 2, block)
-        left, right = ids[:, :, 0, :], ids[:, :, 1, :]
-        p_lr = probs[left[..., :, None], right[..., None, :]]
-        p_rl = probs[right[..., :, None], left[..., None, :]]
-        new_left = s[:, :, 0, :] * (p_lr * s[:, :, 1, :][..., None, :]).sum(axis=-1)
-        new_right = s[:, :, 1, :] * (p_rl * s[:, :, 0, :][..., None, :]).sum(axis=-1)
-        nxt = np.empty_like(s)
-        nxt[:, :, 0, :] = new_left
-        nxt[:, :, 1, :] = new_right
-        surv = nxt.reshape(b, n)
-        block *= 2
     acc = np.zeros(n)
-    np.add.at(acc, perms, surv)
+    np.add.at(acc, perms, bracket_survival(probs, perms))
     return acc
 
 
@@ -137,8 +117,7 @@ def sample_uniform_win_probs(
     MAX_WORKERS; larger values raise ValueError before any work starts.
     """
     n = t.n
-    if n & (n - 1):
-        raise ValueError(f"bracket size must be a power of two, got {n} players")
+    require_bracket_size(n)
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must lie in 1..{MAX_SAMPLES:,}, got {samples}")
     if mode not in _MODES:

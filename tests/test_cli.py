@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from drawfix import (
     write_prob_matrix,
 )
 from drawfix.cli import main
+
+DATA = Path(__file__).parent.parent / "data"
 
 
 @pytest.fixture
@@ -81,6 +84,15 @@ class TestCount:
                      "--output", str(out)]) == 0
         players = json.loads(out.read_text())["data"]["players"]
         assert all(p["nodes_first"] is None for p in players)
+
+    def test_soccer_nodes_first_pinned(self, tmp_path):
+        out = tmp_path / "count.json"
+        assert main(["count", "--input", str(DATA / "soccer_matches.csv"),
+                     "--ranks", str(DATA / "soccer_ranks.csv"),
+                     "--output", str(out)]) == 0
+        players = json.loads(out.read_text())["data"]["players"]
+        assert [p["nodes_first"] for p in players] == [
+            23, 21, 16, 31, 36, 22, 34, 42, 19, 23, 38, 18, 18, 19, 0, 0]
 
     def test_csv_output(self, cr8_path, tmp_path):
         out = tmp_path / "count.csv"
@@ -254,6 +266,18 @@ class TestDatasetInputs:
         weird.write_text("alpha,beta\n1,2\n")
         assert main(["count", "--input", str(weird)]) == 2
         assert "unrecognized input format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields", [
+        '"ranks": [1, 2]',
+        '"names": ["a", "b"], "ranks": [1, null]',
+        '"names": "ab", "ranks": [1, 2]',
+    ], ids=["missing-names", "null-rank", "names-string"])
+    def test_malformed_matrix_exit_two(self, tmp_path, capsys, fields):
+        path = tmp_path / "m.json"
+        path.write_text('{"format": "drawfix-probmatrix/1", "probs": '
+                        '[[0.5, 0.5], [0.5, 0.5]], ' + fields + "}\n")
+        assert main(["kings", "--input", str(path)]) == 2
+        assert "must be a list" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         assert main(["count", "--input", str(tmp_path / "nope.csv")]) == 2

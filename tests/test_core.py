@@ -6,16 +6,19 @@ import pytest
 
 from conftest import random_deterministic, random_probabilistic
 from drawfix import (
+    MAX_EXACT_PLAYERS,
     DeterministicTournament,
     Draw,
     PlayerTable,
     ProbabilisticTournament,
+    ResourceLimitError,
     canonicalize,
     draw_win_probabilities,
     num_draws,
     random_draw,
     simulate,
 )
+from drawfix.core import require_bracket_size, require_exact_size
 
 import oracle
 
@@ -48,6 +51,19 @@ class TestNumDraws:
         for n in (0, 3, 6, 12):
             with pytest.raises(ValueError):
                 num_draws(n)
+
+
+class TestSizeChecks:
+    def test_bracket_size_message(self):
+        with pytest.raises(ValueError, match="got 12 players"):
+            require_bracket_size(12)
+
+    def test_exact_size_limit(self):
+        require_exact_size(MAX_EXACT_PLAYERS)
+        with pytest.raises(ResourceLimitError):
+            require_exact_size(2 * MAX_EXACT_PLAYERS)
+        with pytest.raises(ValueError):
+            require_exact_size(3)
 
 
 class TestCanonicalize:

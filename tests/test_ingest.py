@@ -258,3 +258,15 @@ class TestProbMatrixFiles:
         path.write_text('"name","A","B"\n"A",0.5,0.6\n"X",0.4,0.5\n')
         with pytest.raises(ValueError, match="row"):
             read_prob_matrix(path)
+
+    @pytest.mark.parametrize("fields, key", [
+        ('"ranks": [1, 2]', "names"),
+        ('"names": ["a", "b"], "ranks": [1, null]', "ranks"),
+        ('"names": "ab", "ranks": [1, 2]', "names"),
+    ], ids=["missing-names", "null-rank", "names-string"])
+    def test_malformed_json_names_the_key(self, tmp_path, fields, key):
+        path = tmp_path / "m.json"
+        path.write_text('{"format": "drawfix-probmatrix/1", "probs": '
+                        '[[0.5, 0.5], [0.5, 0.5]], ' + fields + "}\n")
+        with pytest.raises(ValueError, match=f"'{key}' must be a list"):
+            read_prob_matrix(path)

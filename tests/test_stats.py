@@ -20,6 +20,7 @@ from drawfix import (
     likelihood_ratio_test,
     scan_cr,
 )
+from drawfix.stats import MIN_SCAN_STEP, _cr_win_prob_sample
 
 import oracle
 
@@ -355,3 +356,12 @@ class TestScanCr:
         result = scan_cr(reference, 16, step=0.1, threshold=0.05)
         assert result.min_accepted is None
         assert result.max_accepted is None
+
+    def test_model_cache_holds_one_finest_scan(self):
+        # Each step below gives a different grid; together they name
+        # 1447 distinct upset probabilities.
+        reference = EmpiricalSample.from_values([0.1, 0.2, 0.3, 0.4])
+        _cr_win_prob_sample.cache_clear()
+        for step in (0.001, 0.0011, 0.0013, 0.0017):
+            scan_cr(reference, 4, step=step)
+        assert _cr_win_prob_sample.cache_info().currsize <= round(0.5 / MIN_SCAN_STEP) == 500
