@@ -29,6 +29,7 @@ import time
 
 from . import __version__
 from .core import (
+    MAX_MODEL_PLAYERS,
     DeterministicTournament,
     ProbabilisticTournament,
     ResourceLimitError,
@@ -529,7 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen_cr = sub.add_parser("gen-cr",
                             help="generate a rank-ordered synthetic matrix")
     gen_cr.add_argument("--players", type=int, required=True,
-                        help="number of players (power of two)")
+                        help="number of players (power of two, at most "
+                             f"{MAX_MODEL_PLAYERS})")
     gen_cr.add_argument("--upset-prob", type=float, required=True,
                         help="probability that the lower-ranked side wins")
     gen_cr.add_argument("--output", required=True, help="matrix destination")

@@ -21,6 +21,7 @@ __all__ = [
     "Draw",
     "ResourceLimitError",
     "MAX_EXACT_PLAYERS",
+    "MAX_MODEL_PLAYERS",
     "as_rng",
     "num_draws",
     "canonicalize",
@@ -43,6 +44,12 @@ class ResourceLimitError(RuntimeError):
 # temporaries; at 32 players the |S| = 16 level alone has 6e8 subsets.
 MAX_EXACT_PLAYERS = 16
 
+# The upset-model generator and the draw sampler hold arrays that grow
+# with n squared: the model matrix and its index arrays (2 GiB each at
+# 16384 players), and in the sampler's last round two float temporaries
+# of 4096 * n**2 / 4 entries each (32 MiB at 64 players, 8.6 GB at 1024).
+MAX_MODEL_PLAYERS = 64
+
 
 def as_rng(rng) -> np.random.Generator:
     """Accept either a Generator or an integer seed."""
@@ -63,6 +70,16 @@ def require_exact_size(n: int) -> None:
     if n > MAX_EXACT_PLAYERS:
         raise ResourceLimitError(
             f"exact methods are limited to {MAX_EXACT_PLAYERS} players, got {n}"
+        )
+
+
+def require_model_size(n: int) -> None:
+    """Also raise ValueError when n exceeds MAX_MODEL_PLAYERS."""
+    require_bracket_size(n)
+    if n > MAX_MODEL_PLAYERS:
+        raise ValueError(
+            f"the upset model and the sampler are limited to {MAX_MODEL_PLAYERS} "
+            f"players, got {n}"
         )
 
 

@@ -16,7 +16,7 @@ from .core import (
     PlayerTable,
     ProbabilisticTournament,
     as_rng,
-    require_bracket_size,
+    require_model_size,
 )
 
 __all__ = [
@@ -31,15 +31,16 @@ __all__ = [
 class CrParams:
     """Model parameters: bracket size and the per-match upset probability.
 
-    upset_prob = 0.5 is allowed and makes every match a fair coin, which
-    is the uniform random tournament.
+    n is a power of two of at most MAX_MODEL_PLAYERS.  upset_prob = 0.5
+    is allowed and makes every match a fair coin, which is the uniform
+    random tournament.
     """
 
     n: int
     upset_prob: float
 
     def __post_init__(self):
-        require_bracket_size(self.n)
+        require_model_size(self.n)
         if not 0.0 < self.upset_prob <= 0.5:
             raise ValueError(
                 f"upset_prob must lie in (0.0, 0.5], got {self.upset_prob}"

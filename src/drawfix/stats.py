@@ -18,7 +18,7 @@ from math import comb, fsum, log, pi, sqrt
 import numpy as np
 from scipy.special import erfc, kolmogorov
 
-from .core import as_rng
+from .core import as_rng, require_exact_size
 from .crmodel import CrParams, generate_cr
 from .winprob import WinProbVector, exact_uniform_win_probs
 
@@ -402,16 +402,70 @@ def likelihood_ratio_test(
     return LrtResult(r=r, p_value=p, first=first.family, second=second.family)
 
 
-# Finest scan grid: at most 500 points, each one exact sweep.
+# Finest scan grid: at most 500 points.  Each is read off the model's
+# interpolated curve (_cr_curve), or swept exactly where the curve cannot
+# settle its KS result, so the step no longer sets the number of sweeps.
 MIN_SCAN_STEP = 0.001
 
+# Error bound assumed for the curve.  It measures about 2e-13 at n = 16
+# and is checked at u = 1/2, where every exact entry is 1/n.
+_CURVE_TOL = 1e-9
 
-# Holds the largest single scan, so scans with different steps in one
-# process cannot grow it without bound.
+
+# The exact sweep for one grid point that the curve cannot settle.  One
+# scan has at most 500 grid points and this cache holds that many, so
+# scans with different steps in one process cannot grow it without bound.
 @lru_cache(maxsize=round(0.5 / MIN_SCAN_STEP))
 def _cr_win_prob_sample(n: int, upset_prob: float) -> EmpiricalSample:
     vec = exact_uniform_win_probs(generate_cr(CrParams(n, upset_prob)))
     return EmpiricalSample.from_values(vec.entries, label=f"cr-{upset_prob:g}")
+
+
+# One entry per bracket size the exact sweep accepts (n = 1 .. 16), so at
+# most five.
+@lru_cache(maxsize=None)
+def _cr_curve(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chebyshev nodes, barycentric weights and model win vectors at the nodes.
+
+    Under the upset model each player's exact win probability is a
+    polynomial of degree at most n - 1 in the upset probability u (a draw
+    plays n - 1 matches, each linear in u), so its values at n Chebyshev
+    nodes on [0, 1] determine it.  Ids are in rank order, so reversing
+    the ranks maps u to 1 - u and reverses the vector: the nodes pair up
+    as x, 1 - x and only those in (0, 1/2] need an exact sweep.
+    """
+    require_exact_size(n)
+    k = np.arange(n)
+    theta = (2 * k + 1) * np.pi / (2 * n)
+    half = (n + 1) // 2
+    low = (1.0 + np.cos(theta[::-1][:half])) / 2  # ascending, in (0, 1/2]
+    nodes = np.concatenate([low, 1.0 - low[: n // 2][::-1]])
+    weights = (-1.0) ** k * np.sin(theta)
+    values = np.empty((n, n))
+    for i, u in enumerate(low):
+        vec = exact_uniform_win_probs(generate_cr(CrParams(n, float(u))))
+        values[i] = vec.entries
+        values[n - 1 - i] = vec.entries[::-1]
+    for a in (nodes, weights, values):
+        a.flags.writeable = False
+    fair = _eval_curve((nodes, weights, values), np.array([0.5]))[0]
+    if np.abs(fair - 1.0 / n).max() > _CURVE_TOL:
+        raise RuntimeError(
+            "interpolated upset-model curve misses 1/n at u = 1/2; this is a bug")
+    return nodes, weights, values
+
+
+def _eval_curve(curve, us: np.ndarray) -> np.ndarray:
+    """Barycentric evaluation of the curve at every u; one row per u."""
+    nodes, weights, values = curve
+    diff = us[:, None] - nodes[None, :]
+    hit = diff == 0.0
+    diff[hit] = 1.0
+    c = weights / diff
+    out = (c @ values) / c.sum(axis=1)[:, None]
+    rows, cols = np.nonzero(hit)
+    out[rows] = values[cols]
+    return out
 
 
 @dataclass(frozen=True)
@@ -446,8 +500,13 @@ def scan_cr(
     KS test (module defaults) is run against the reference; a grid point
     is accepted when its p-value reaches ``threshold``.  The reference
     holds one win probability per player, so its size must equal n.
-    ``step`` must lie in [MIN_SCAN_STEP, 0.5], so a scan runs at most
-    500 exact sweeps.
+    ``step`` must lie in [MIN_SCAN_STEP, 0.5], so the grid has at most
+    500 points.
+
+    The model vectors are read off an interpolated curve that costs
+    ceil(n/2) exact sweeps once per n; a grid point whose KS result the
+    curve's rounding could change takes its own exact sweep instead, so
+    the result equals that of one exact sweep per grid point.
 
     ``reference_avg_upset`` is carried through to the report; pass the
     value from :func:`drawfix.crmodel.average_upset_probability` when
@@ -461,19 +520,37 @@ def scan_cr(
         raise ValueError(f"step must lie in [{MIN_SCAN_STEP}, 0.5], got {step}")
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
+    grid = []
+    k = 1
+    while round(k * step, 10) <= 0.5:
+        grid.append(round(k * step, 10))
+        k += 1
+    # KS statistics and p-values depend only on how the pooled values
+    # order and tie, and the curve is within _CURVE_TOL of the exact
+    # sweep, whose entries are all positive.  So an interpolated vector
+    # gives the exact sweep's KS result unless one of its entries lies
+    # within 2 * _CURVE_TOL of another entry or of a reference value, or
+    # is not positive (a sample must be).  Such grid points are swept.
+    model = np.sort(_eval_curve(_cr_curve(n), np.array(grid)), axis=1)
+    ref = np.array(reference.values)
+    close = 2 * _CURVE_TOL
+    undecided = (
+        (np.diff(model, axis=1) <= close).any(axis=1)
+        | (np.abs(model[:, :, None] - ref).min(axis=2) <= close).any(axis=1)
+        | (model[:, 0] <= 0.0)
+    )
     steps = []
     accepted = []
-    k = 1
-    while True:
-        u = round(k * step, 10)
-        if u > 0.5:
-            break
-        ks = ks_two_sample(reference, _cr_win_prob_sample(n, u))
+    for u, values, sweep in zip(grid, model, undecided):
+        if sweep:
+            sample = _cr_win_prob_sample(n, u)
+        else:
+            sample = EmpiricalSample(values=tuple(values), label=f"cr-{u:g}")
+        ks = ks_two_sample(reference, sample)
         ok = ks.p_value >= threshold
         steps.append(ScanStep(upset_prob=u, ks=ks, accepted=ok))
         if ok:
             accepted.append(u)
-        k += 1
     return ScanResult(
         steps=tuple(steps),
         threshold=threshold,

@@ -21,8 +21,8 @@ from .core import (
     as_rng,
     bracket_survival,
     num_draws,
-    require_bracket_size,
     require_exact_size,
+    require_model_size,
 )
 
 __all__ = ["WinProbVector", "exact_uniform_win_probs", "sample_uniform_win_probs"]
@@ -113,11 +113,12 @@ def sample_uniform_win_probs(
     count reproduce the estimate bit for bit (worker streams are spawned
     deterministically and reduced in a fixed order); changing the worker
     count changes how the sample budget is split and may move the last
-    few ulps.  ``samples`` is capped at MAX_SAMPLES and ``workers`` at
-    MAX_WORKERS; larger values raise ValueError before any work starts.
+    few ulps.  ``samples`` is capped at MAX_SAMPLES, ``workers`` at
+    MAX_WORKERS and the player count at MAX_MODEL_PLAYERS; larger values
+    raise ValueError before any work starts.
     """
     n = t.n
-    require_bracket_size(n)
+    require_model_size(n)
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must lie in 1..{MAX_SAMPLES:,}, got {samples}")
     if mode not in _MODES:

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from drawfix import (
+    MAX_MODEL_PLAYERS,
     CrParams,
     Draw,
+    PlayerTable,
+    ProbabilisticTournament,
     count_winning_draws,
     exact_uniform_win_probs,
     generate_cr,
@@ -55,6 +58,14 @@ class TestGenCr:
                      "--output", str(out)]) == 2
         assert main(["gen-cr", "--players", "4", "--upset-prob", "0.7",
                      "--output", str(out)]) == 2
+
+    def test_player_cap_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        for players in (2 * MAX_MODEL_PLAYERS, 2**14, 2**40):
+            assert main(["gen-cr", "--players", str(players), "--upset-prob", "0.2",
+                         "--output", str(out)]) == 2
+            assert f"limited to {MAX_MODEL_PLAYERS} players" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCount:
@@ -192,6 +203,15 @@ class TestResourceLimits:
     def test_out_of_range_exit_two(self, argv, cycle4_path, capsys):
         assert main(argv + ["--input", cycle4_path]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_sampler_player_cap_exit_two(self, tmp_path, capsys):
+        n = 2 * MAX_MODEL_PLAYERS
+        path = tmp_path / "flat.json"
+        write_prob_matrix(path, ProbabilisticTournament(
+            players=PlayerTable.default(n), probs=np.full((n, n), 0.5)))
+        assert main(["winprob", "--input", str(path), "--mode", "per-draw-exact",
+                     "--samples", "8"]) == 2
+        assert f"limited to {MAX_MODEL_PLAYERS} players" in capsys.readouterr().err
 
 
 class TestFit:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from drawfix import (
+    MAX_MODEL_PLAYERS,
     CrParams,
     PlayerTable,
     ProbabilisticTournament,
@@ -25,6 +26,12 @@ class TestCrParams:
     def test_players_power_of_two(self):
         with pytest.raises(ValueError):
             CrParams(n=6, upset_prob=0.3)
+
+    def test_player_cap(self):
+        CrParams(n=MAX_MODEL_PLAYERS, upset_prob=0.3)
+        for n in (2 * MAX_MODEL_PLAYERS, 2**14, 2**40):
+            with pytest.raises(ValueError, match=f"limited to {MAX_MODEL_PLAYERS}"):
+                CrParams(n=n, upset_prob=0.3)
 
 
 class TestGenerate:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +19,13 @@ from drawfix import (
     generate_cr,
     ks_two_sample,
     likelihood_ratio_test,
+    read_matches,
+    read_ranks,
     scan_cr,
+    soccer_to_tournaments,
 )
-from drawfix.stats import MIN_SCAN_STEP, _cr_win_prob_sample
+from drawfix import stats
+from drawfix.stats import MIN_SCAN_STEP, ScanResult, ScanStep, _cr_win_prob_sample
 
 import oracle
 
@@ -365,3 +370,84 @@ class TestScanCr:
         for step in (0.001, 0.0011, 0.0013, 0.0017):
             scan_cr(reference, 4, step=step)
         assert _cr_win_prob_sample.cache_info().currsize <= round(0.5 / MIN_SCAN_STEP) == 500
+
+
+def _direct_scan(reference, n, step, threshold=0.05):
+    """scan_cr's grid loop with one exact sweep per grid point."""
+    steps = []
+    k = 1
+    while round(k * step, 10) <= 0.5:
+        u = round(k * step, 10)
+        ks = ks_two_sample(reference, _cr_win_prob_sample(n, u))
+        steps.append(ScanStep(upset_prob=u, ks=ks, accepted=ks.p_value >= threshold))
+        k += 1
+    accepted = [s.upset_prob for s in steps if s.accepted]
+    return ScanResult(
+        steps=tuple(steps),
+        threshold=threshold,
+        min_accepted=min(accepted) if accepted else None,
+        max_accepted=max(accepted) if accepted else None,
+    )
+
+
+def _reference(kind, n, step):
+    if kind == "lognormal":
+        rng = np.random.default_rng(1000 * n + round(1e4 * step))
+        return EmpiricalSample.from_values(rng.lognormal(-2.0, 1.0, size=n))
+    if kind == "on-grid":  # the model vector at the grid point nearest 0.3
+        u = round(max(1, round(0.3 / step)) * step, 10)
+        return EmpiricalSample.from_win_probs(
+            exact_uniform_win_probs(generate_cr(CrParams(n, u))))
+    return EmpiricalSample.from_values([1e-9] * (n - 1) + [1.0 - (n - 1) * 1e-9])
+
+
+# With a tied reference at n = 8 every KS p-value enumerates all 12,870
+# splits (about 60 ms), so the two fine grids, 884 points run on both
+# paths, stay out of the tied case at that size.
+_EQUIVALENCE_CASES = [
+    (n, step, kind)
+    for n in (1, 2, 4, 8)
+    for step in (0.001, 0.0013, 0.05, 0.5)
+    for kind in ("lognormal", "on-grid", "ties")
+    if not (kind == "ties" and n == 8 and step < 0.05)
+]
+
+
+class TestScanCrMatchesDirectSweeps:
+    @pytest.mark.parametrize("n,step,kind", _EQUIVALENCE_CASES)
+    def test_small_fields(self, n, step, kind):
+        reference = _reference(kind, n, step)
+        assert scan_cr(reference, n, step=step) == _direct_scan(reference, n, step)
+
+    def test_sixteen_players(self):
+        data = Path(__file__).parent.parent / "data"
+        _, prob = soccer_to_tournaments(read_matches(data / "soccer_matches.csv"),
+                                        read_ranks(data / "soccer_ranks.csv"))
+        soccer = EmpiricalSample.from_win_probs(exact_uniform_win_probs(prob))
+        cr = EmpiricalSample.from_win_probs(
+            exact_uniform_win_probs(generate_cr(CrParams(16, 0.3))))
+        for reference in (soccer, cr):
+            assert scan_cr(reference, 16) == _direct_scan(reference, 16, 0.01)
+
+    def test_sweep_count_does_not_grow_with_the_grid(self, monkeypatch):
+        calls = []
+        real = stats.exact_uniform_win_probs
+
+        def counted(t):
+            calls.append(t.n)
+            return real(t)
+
+        monkeypatch.setattr(stats, "exact_uniform_win_probs", counted)
+        stats._cr_curve.cache_clear()
+        _cr_win_prob_sample.cache_clear()
+        reference = _reference("lognormal", 8, 0.001)
+        scan_cr(reference, 8, step=0.001)
+        assert len(calls) <= 8 // 2 + 8
+
+    def test_curve_misses_fair_coin_raises(self, monkeypatch):
+        # every node swept at one upset probability: not the model's curve
+        monkeypatch.setattr(stats, "generate_cr",
+                            lambda p: generate_cr(CrParams(p.n, 0.3)))
+        stats._cr_curve.cache_clear()
+        with pytest.raises(RuntimeError, match="bug"):
+            stats._cr_curve(4)

@@ -3,7 +3,10 @@ import pytest
 
 from conftest import random_probabilistic
 from drawfix import (
+    MAX_MODEL_PLAYERS,
     CrParams,
+    PlayerTable,
+    ProbabilisticTournament,
     ResourceLimitError,
     count_winning_draws,
     exact_uniform_win_probs,
@@ -109,6 +112,19 @@ class TestSampled:
         for workers in (0, MAX_WORKERS + 1, 10**6):
             with pytest.raises(ValueError, match="workers"):
                 sample_uniform_win_probs(t, samples=10, workers=workers)
+
+    def test_player_count_validation(self):
+        # rejected before any batch builds its n**2 / 4 temporaries
+        def field(n):
+            return ProbabilisticTournament(players=PlayerTable.default(n),
+                                           probs=np.full((n, n), 0.5))
+
+        vector = sample_uniform_win_probs(field(MAX_MODEL_PLAYERS), samples=8)
+        assert vector.n == MAX_MODEL_PLAYERS
+        for mode in ("per-draw-exact", "full-simulation"):
+            with pytest.raises(ValueError, match=f"limited to {MAX_MODEL_PLAYERS}"):
+                sample_uniform_win_probs(field(2 * MAX_MODEL_PLAYERS), samples=8,
+                                         mode=mode)
 
     def test_unknown_mode(self):
         t = generate_cr(CrParams(n=4, upset_prob=0.25))
