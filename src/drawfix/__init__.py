@@ -7,6 +7,17 @@ draw, and tests real fields against a one-parameter model of rank
 upsets.
 """
 
+import os
+
+# The subset sweep multiplies blocks of a few thousand 16-wide rows by a
+# 16 x 16 matrix.  OpenBLAS splits such a product over worker threads
+# that gain nothing at this size, and while another process holds a CPU
+# the spinning workers make a sweep two to three times slower.  One BLAS
+# thread keeps every result bit for bit and the time steady.  The
+# setting takes effect only if numpy is not loaded yet, as under the CLI,
+# and an explicit OPENBLAS_NUM_THREADS wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .core import (
     MAX_EXACT_PLAYERS,
     MAX_MODEL_PLAYERS,

@@ -376,8 +376,12 @@ def read_prob_matrix(path) -> ProbabilisticTournament:
             raise ValueError(f"{path}: 'names' must be a list of strings")
         if not isinstance(ranks, list) or not all(type(r) is int for r in ranks):
             raise ValueError(f"{path}: 'ranks' must be a list of integers")
-        if not isinstance(probs, list):
-            raise ValueError(f"{path}: 'probs' must be a list")
+        if not isinstance(probs, list) or not all(
+            isinstance(row, list)
+            and all(type(x) in (int, float) and 0 <= x <= 1 for x in row)
+            for row in probs
+        ):
+            raise ValueError(f"{path}: 'probs' must be a list of lists of numbers in [0, 1]")
         players = PlayerTable(names=tuple(names), ranks=tuple(ranks))
         return ProbabilisticTournament(players=players, probs=np.array(probs))
     rows = list(csv.reader(text.splitlines()))

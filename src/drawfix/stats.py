@@ -3,22 +3,21 @@
 The two-sample Kolmogorov-Smirnov distance is computed exactly in
 integer units of 1/(n_a*n_b), so tie handling and permutation tests
 never depend on float rounding.  For small pooled samples the p-value
-is the exact permutation probability (a closed form when both samples
-have equal size and no ties, full enumeration when the split count is
-small, seeded Monte Carlo otherwise); large samples use the asymptotic
-Kolmogorov distribution, which is approximate for 16-point samples.
+is the exact permutation probability, one lattice-path count over the
+sorted pooled sample with ties kept together; large samples use the
+asymptotic Kolmogorov distribution, which is approximate for 16-point
+samples.  scipy is imported only by the code that needs it, so
+importing this module (and the CLI) does not load it.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, fsum, log, pi, sqrt
 
 import numpy as np
-from scipy.special import erfc, kolmogorov
 
-from .core import as_rng, require_exact_size
+from .core import require_exact_size
 from .crmodel import CrParams, generate_cr
 from .winprob import WinProbVector, exact_uniform_win_probs
 
@@ -91,9 +90,9 @@ def ccdf_points(s: EmpiricalSample) -> list[tuple[float, float]]:
 class KsResult:
     """Two-sample KS outcome.
 
-    ``resamples`` is None when the permutation p-value is exact (closed
-    form or full enumeration) and the Monte Carlo replicate count
-    otherwise; it is always None for the asymptotic method.
+    Every p-value is exact or asymptotic, so ``resamples`` is always
+    None.  The field stays because the benchmark harness
+    (``perfbench/tracing.py``) reads it to count Monte Carlo p-values.
     """
 
     statistic: float
@@ -102,113 +101,60 @@ class KsResult:
     resamples: int | None = None
 
 
-def _counts_at_pooled(a: np.ndarray, b: np.ndarray, pooled: np.ndarray):
+def _distance_int(a: np.ndarray, b: np.ndarray, pooled: np.ndarray) -> int:
+    # sup |F_a - F_b| in exact units of 1/(n_a n_b)
     ca = np.searchsorted(a, pooled, side="right")
     cb = np.searchsorted(b, pooled, side="right")
-    return ca, cb
-
-
-def _distance_int(a: np.ndarray, b: np.ndarray) -> int:
-    # sup |F_a - F_b| in exact units of 1/(n_a n_b)
-    pooled = np.concatenate([a, b])
-    pooled.sort()
-    ca, cb = _counts_at_pooled(a, b, pooled)
     return int(np.abs(ca * b.size - cb * a.size).max())
 
 
-def _equal_size_tail_prob(n: int, k: int) -> float:
-    # P(D >= k/n) for two tie-free samples of equal size n, by the
-    # reflection argument over lattice paths; identical to enumerating
-    # all C(2n, n) assignments.
-    if k <= 0:
-        return 1.0
-    acc = 0
-    j = 1
-    while n - j * k >= 0:
-        acc += (-1) ** (j - 1) * comb(2 * n, n - j * k)
-        j += 1
-    return min(1.0, 2 * acc / comb(2 * n, n))
+def _permutation_p(pooled: list[float], na: int, nb: int, d_int: int) -> float:
+    # P(D >= d_int) over all C(m, na) equally likely splits of the sorted
+    # pooled sample.  paths[i] counts the ways to assign the first k
+    # positions with i of them in sample a while keeping the distance
+    # below d_int; it is checked only at the end of each tie run, where
+    # both empirical CDFs are defined.
+    m = na + nb
+    paths = [1] + [0] * na
+    for k in range(1, m + 1):
+        for i in range(min(k, na), 0, -1):
+            paths[i] += paths[i - 1]
+        if k == m or pooled[k] != pooled[k - 1]:
+            for i in range(min(k, na) + 1):
+                if abs(i * nb - (k - i) * na) >= d_int:
+                    paths[i] = 0
+    total = comb(m, na)
+    return (total - paths[na]) / total
 
 
-def _run_ends(pooled: np.ndarray) -> np.ndarray:
-    if pooled.size == 1:
-        return np.array([0], dtype=np.intp)
-    ends = np.flatnonzero(pooled[1:] != pooled[:-1])
-    return np.append(ends, pooled.size - 1)
-
-
-def _assignment_distances(weights: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(weights, axis=1)
-    return np.abs(cum[:, ends]).max(axis=1)
-
-
-def ks_two_sample(
-    a: EmpiricalSample,
-    b: EmpiricalSample,
-    method: str = "auto",
-    rng=0,
-    resamples: int = 10_000,
-    enumeration_limit: int = 200_000,
-) -> KsResult:
+def ks_two_sample(a: EmpiricalSample, b: EmpiricalSample, method: str = "auto") -> KsResult:
     """Two-sample Kolmogorov-Smirnov test.
 
     ``method`` is ``"auto"`` (permutation when the pooled size is at
     most 32, asymptotic otherwise), ``"permutation"``, or
-    ``"asymptotic"``.  The permutation p-value is exact whenever it can
-    be: closed form for equal tie-free samples, full enumeration when
-    there are at most ``enumeration_limit`` splits, otherwise seeded
-    Monte Carlo with ``resamples`` replicates.
+    ``"asymptotic"``.  The permutation p-value is exact for any sizes
+    and ties: it counts the splits of the pooled sample whose distance
+    reaches the observed one.
     """
     av = np.array(a.values)
     bv = np.array(b.values)
     na, nb = av.size, bv.size
-    d_int = _distance_int(av, bv)
+    pooled = np.sort(np.concatenate([av, bv]))
+    d_int = _distance_int(av, bv, pooled)
     d = d_int / (na * nb)
 
     if method == "auto":
         method = "permutation" if na + nb <= 32 else "asymptotic"
     if method == "asymptotic":
+        from scipy.special import kolmogorov
+
         en = na * nb / (na + nb)
         p = float(kolmogorov(sqrt(en) * d))
         return KsResult(statistic=d, p_value=min(1.0, max(0.0, p)), method="asymptotic")
     if method != "permutation":
         raise ValueError(f"unknown method: {method!r}")
-
-    pooled = np.concatenate([av, bv])
-    pooled.sort()
-    tie_free = np.unique(pooled).size == pooled.size
-    if tie_free and na == nb:
-        p = _equal_size_tail_prob(na, d_int // na)
-        return KsResult(statistic=d, p_value=p, method="permutation")
-
-    m = na + nb
-    ends = _run_ends(pooled)
-    n_splits = comb(m, na)
-    if n_splits <= enumeration_limit:
-        hits = 0
-        chunk = []
-        for combo in itertools.combinations(range(m), na):
-            w = np.full(m, -na)
-            w[list(combo)] = nb
-            chunk.append(w)
-            if len(chunk) == 4096:
-                hits += int((_assignment_distances(np.array(chunk), ends) >= d_int).sum())
-                chunk = []
-        if chunk:
-            hits += int((_assignment_distances(np.array(chunk), ends) >= d_int).sum())
-        return KsResult(statistic=d, p_value=hits / n_splits, method="permutation")
-
-    gen = as_rng(rng)
-    base = np.concatenate([np.full(na, nb), np.full(nb, -na)])
-    hits = 0
-    left = resamples
-    while left > 0:
-        r = min(4096, left)
-        w = gen.permuted(np.tile(base, (r, 1)), axis=1)
-        hits += int((_assignment_distances(w, ends) >= d_int).sum())
-        left -= r
-    p = (1 + hits) / (1 + resamples)
-    return KsResult(statistic=d, p_value=p, method="permutation", resamples=resamples)
+    p = _permutation_p(pooled.tolist(), na, nb, d_int)
+    return KsResult(statistic=d, p_value=p, method="permutation")
 
 
 @dataclass(frozen=True)
@@ -258,6 +204,8 @@ class FitResult:
         x = np.asarray(x, dtype=float)
         if self.family == "power-law":
             return np.where(x < self.xmin, 1.0, (x / self.xmin) ** (1 - self.alpha))
+        from scipy.special import erfc
+
         z = (np.log(x) - self.mu) / (self.sigma * sqrt(2))
         return 0.5 * erfc(z)
 
@@ -396,6 +344,8 @@ def likelihood_ratio_test(
         raise UndefinedTestError(
             "log-likelihood difference is constant; the ratio test is undefined"
         )
+    from scipy.special import erfc
+
     m = diff.size
     r = float(fsum(diff) / (sqrt(m) * sd))
     p = float(erfc(abs(r) / sqrt(2)))

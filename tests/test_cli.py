@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -288,16 +291,38 @@ class TestDatasetInputs:
         assert "unrecognized input format" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fields", [
-        '"ranks": [1, 2]',
-        '"names": ["a", "b"], "ranks": [1, null]',
-        '"names": "ab", "ranks": [1, 2]',
-    ], ids=["missing-names", "null-rank", "names-string"])
+        '"probs": [[0.5, 0.5], [0.5, 0.5]], "ranks": [1, 2]',
+        '"probs": [[0.5, 0.5], [0.5, 0.5]], "names": ["a", "b"], "ranks": [1, null]',
+        '"probs": [[0.5, 0.5], [0.5, 0.5]], "names": "ab", "ranks": [1, 2]',
+        '"probs": [[0.5, {}], [0.5, 0.5]], "names": ["a", "b"], "ranks": [1, 2]',
+    ], ids=["missing-names", "null-rank", "names-string", "object-prob"])
     def test_malformed_matrix_exit_two(self, tmp_path, capsys, fields):
         path = tmp_path / "m.json"
-        path.write_text('{"format": "drawfix-probmatrix/1", "probs": '
-                        '[[0.5, 0.5], [0.5, 0.5]], ' + fields + "}\n")
+        path.write_text('{"format": "drawfix-probmatrix/1", ' + fields + "}\n")
         assert main(["kings", "--input", str(path)]) == 2
         assert "must be a list" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         assert main(["count", "--input", str(tmp_path / "nope.csv")]) == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, drawfix.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_cli_import_keeps_blas_on_one_thread(preset, expected):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, drawfix.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == expected

@@ -211,6 +211,11 @@ class TestDropPlayer:
             drop_player("nope", 0)
 
 
+# Valid fields of a two-player JSON matrix, for the malformed-file cases.
+_PROBS = '"probs": [[0.5, 0.5], [0.5, 0.5]], '
+_NAMED = '"names": ["a", "b"], "ranks": [1, 2]'
+
+
 class TestProbMatrixFiles:
     def test_json_round_trip(self, tmp_path):
         t = generate_cr(CrParams(n=8, upset_prob=0.35))
@@ -260,13 +265,16 @@ class TestProbMatrixFiles:
             read_prob_matrix(path)
 
     @pytest.mark.parametrize("fields, key", [
-        ('"ranks": [1, 2]', "names"),
-        ('"names": ["a", "b"], "ranks": [1, null]', "ranks"),
-        ('"names": "ab", "ranks": [1, 2]', "names"),
-    ], ids=["missing-names", "null-rank", "names-string"])
+        (_PROBS + '"ranks": [1, 2]', "names"),
+        (_PROBS + '"names": ["a", "b"], "ranks": [1, null]', "ranks"),
+        (_PROBS + '"names": "ab", "ranks": [1, 2]', "names"),
+        ('"probs": [[0.5, {}], [0.5, 0.5]], ' + _NAMED, "probs"),
+        ('"probs": [["0.5", "0.5"], ["0.5", "0.5"]], ' + _NAMED, "probs"),
+        ('"probs": [[0.5, 1' + "0" * 400 + '], [0.5, 0.5]], ' + _NAMED, "probs"),
+    ], ids=["missing-names", "null-rank", "names-string", "object-prob", "string-probs",
+            "huge-int"])
     def test_malformed_json_names_the_key(self, tmp_path, fields, key):
         path = tmp_path / "m.json"
-        path.write_text('{"format": "drawfix-probmatrix/1", "probs": '
-                        '[[0.5, 0.5], [0.5, 0.5]], ' + fields + "}\n")
+        path.write_text('{"format": "drawfix-probmatrix/1", ' + fields + "}\n")
         with pytest.raises(ValueError, match=f"'{key}' must be a list"):
             read_prob_matrix(path)

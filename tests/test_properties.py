@@ -2,7 +2,9 @@
 
 Find and enumerate share one descent, and the single-draw and batched
 bracket evaluators share one survival loop; these properties pin the
-shared paths to each other and to the independent counting route.
+shared paths to each other and to the independent counting route.  The
+KS permutation p-value, one lattice-path count, is pinned to full
+enumeration of the splits.
 """
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from drawfix import (
     DeterministicTournament,
+    EmpiricalSample,
     PlayerTable,
     ProbabilisticTournament,
     canonicalize,
@@ -19,9 +22,12 @@ from drawfix import (
     draw_win_probabilities,
     enumerate_winning_draws,
     find_winning_draw,
+    ks_two_sample,
     simulate,
 )
 from drawfix.core import bracket_survival
+
+import oracle
 
 SIZES = st.sampled_from([1, 2, 4, 8])
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -97,3 +103,15 @@ def test_single_draw_is_a_batch_row(case):
         by_player = np.empty(t.n)
         by_player[row] = surv
         assert np.array_equal(draw_win_probabilities(d, t), by_player)
+
+
+# Values from a set of four, so most samples hold ties within and across.
+TIED_SAMPLES = st.lists(st.integers(1, 4).map(float), min_size=1, max_size=6)
+
+
+@SETTINGS
+@given(TIED_SAMPLES, TIED_SAMPLES)
+def test_ks_permutation_p_matches_enumeration(a, b):
+    res = ks_two_sample(EmpiricalSample.from_values(a), EmpiricalSample.from_values(b),
+                        method="permutation")
+    assert res.p_value == oracle.ks_permutation_p(a, b)

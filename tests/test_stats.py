@@ -116,27 +116,19 @@ class TestKsPermutation:
         assert res.statistic == pytest.approx(ref.statistic, abs=1e-12)
         assert res.p_value == pytest.approx(ref.pvalue, abs=1e-9)
 
-    def test_monte_carlo_fallback_close_to_exact(self):
-        rng = np.random.default_rng(85)
-        a = list(rng.random(6))
-        b = list(rng.random(7) + 0.1)
-        exact = ks_two_sample(EmpiricalSample.from_values(a),
-                              EmpiricalSample.from_values(b),
-                              method="permutation")
-        mc = ks_two_sample(EmpiricalSample.from_values(a),
-                           EmpiricalSample.from_values(b),
-                           method="permutation", enumeration_limit=10,
-                           resamples=20_000, rng=6)
-        assert mc.resamples == 20_000
-        assert mc.p_value == pytest.approx(exact.p_value, abs=0.02)
-
-    def test_monte_carlo_reproducible(self):
-        rng = np.random.default_rng(86)
-        a = EmpiricalSample.from_values(rng.random(10))
-        b = EmpiricalSample.from_values(rng.random(10) + 0.3)
-        kwargs = dict(method="permutation", enumeration_limit=10, rng=3)
-        assert (ks_two_sample(a, b, **kwargs).p_value
-                == ks_two_sample(a, b, **kwargs).p_value)
+    @pytest.mark.parametrize("na,nb", [(12, 13), (9, 16), (16, 15)])
+    def test_unequal_sizes_agree_with_scipy_exact(self, na, nb):
+        # Tie-free, with millions of splits (5.2M at 12 v 13).
+        rng = np.random.default_rng(89)
+        a = list(rng.random(na))
+        b = list(rng.random(nb) + 0.25)
+        res = ks_two_sample(EmpiricalSample.from_values(a),
+                            EmpiricalSample.from_values(b))
+        ref = scipy.stats.ks_2samp(a, b, method="exact")
+        assert res.method == "permutation"
+        assert res.resamples is None
+        assert res.statistic == pytest.approx(ref.statistic, abs=1e-12)
+        assert res.p_value == pytest.approx(ref.pvalue, abs=1e-9)
 
 
 class TestKsAsymptotic:
@@ -401,15 +393,11 @@ def _reference(kind, n, step):
     return EmpiricalSample.from_values([1e-9] * (n - 1) + [1.0 - (n - 1) * 1e-9])
 
 
-# With a tied reference at n = 8 every KS p-value enumerates all 12,870
-# splits (about 60 ms), so the two fine grids, 884 points run on both
-# paths, stay out of the tied case at that size.
 _EQUIVALENCE_CASES = [
     (n, step, kind)
     for n in (1, 2, 4, 8)
     for step in (0.001, 0.0013, 0.05, 0.5)
     for kind in ("lognormal", "on-grid", "ties")
-    if not (kind == "ties" and n == 8 and step < 0.05)
 ]
 
 
