@@ -63,6 +63,7 @@ from .solver import (
     condorcet_winner,
     count_winning_draws,
     enumerate_winning_draws,
+    enumeration_choice_points,
     find_winning_draw,
     kings,
 )
@@ -109,6 +110,7 @@ __all__ = [
     "FindResult",
     "DrawStream",
     "count_winning_draws",
+    "enumeration_choice_points",
     "find_winning_draw",
     "enumerate_winning_draws",
     "kings",

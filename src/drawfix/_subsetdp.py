@@ -12,13 +12,17 @@ its row in the previous level.
 Sweeps over the plan run level by level in blocks of whole parent
 subsets (about ``_BLOCK_ROWS`` halving rows each), writing into a
 preallocated level table, so temporaries stay a few megabytes at n = 16
-instead of the full |S| = 8 level.  The same block loop serves two
-recurrences: :func:`sweep` (float64 weights) and :func:`winner_masks`
-(packed bitmasks of the players who can win each sub-bracket).
+instead of the full |S| = 8 level.  The same block loop serves three
+recurrences: :func:`sweep` (float64 weights), :func:`winner_masks`
+(packed bitmasks of the players who can win each sub-bracket) and
+:func:`choice_points` (the effort of enumerating every winning draw).
 
 All sweep arithmetic runs in float64.  For n <= 16 the counting values
 stay below 2^53 (the full-draw total at n = 16 is 638,512,875 and every
 partial product is smaller still), so float64 arithmetic is exact there.
+So are the choice points: every call of the enumeration descent yields
+at least one draw, which bounds them by 6435 + 90 * 638,512,875 (about
+5.7e10) at n = 16, and their caller checks the 2^53 bound at run time.
 Blocking changes no sum: each parent's k halvings are still added in
 plan order.
 """
@@ -33,7 +37,8 @@ import numpy as np
 
 from .core import require_exact_size
 
-__all__ = ["plan", "sweep", "winner_masks", "halvings", "bit_indices", "combine_count"]
+__all__ = ["plan", "sweep", "winner_masks", "choice_points", "halvings", "bit_indices",
+           "combine_count"]
 
 # Halving rows gathered per block of a level sweep; a block always holds
 # whole parent subsets, so a parent with more halvings gets a block alone.
@@ -174,6 +179,49 @@ def winner_masks(n: int, beats: np.ndarray) -> list[int]:
     for level, table in _levels(plan(n), singles, combine):
         out[level.masks] = table
     return out.tolist()
+
+
+def choice_points(n: int, beats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Winning-draw counts N and enumeration choice points CP of the full set.
+
+    ``beats[i, j]`` is True when i beats j.  N(S, w) is the count of
+    :func:`sweep` on the 0/1 relation.  CP(S, w) counts the halvings the
+    enumeration descent (``solver._enum``) examines while it walks every
+    draw of S won by w, and is 0 wherever N is.  The descent examines
+    all k halvings of S.  In a viable halving with w in A it walks A's
+    draws once and, for each of them, B's draws won by each winner j of
+    B that w beats; with w in B it walks A's draws won by each such j
+    once and B's draws won by w once per draw of A.  With u = N @ beats.T
+    and v = CP @ beats.T (u(w) > 0 exactly when w beats a possible
+    winner), wherever N(S, w) > 0:
+
+        CP(S, w) = k + sum over halvings of CP(A, w) [u_B(w) > 0]
+                   + N(A, w) v_B(w) + v_A(w) [N(B, w) > 0] + u_A(w) CP(B, w)
+
+    The terms need no case split: N and CP of a half vanish at players
+    who cannot win it, and v at players who beat none of its possible
+    winners.
+    Returns the two length-n vectors (N, CP).
+    """
+    mt = np.ascontiguousarray(np.asarray(beats, dtype=float).T)
+
+    def combine(ta, tb, k):
+        # A gathered row [N | CP] read as two n-wide rows gives [u | v].
+        ua = (ta.reshape(-1, n) @ mt).reshape(ta.shape)
+        ub = (tb.reshape(-1, n) @ mt).reshape(tb.shape)
+        na, pa, nb, pb = ta[:, :n], ta[:, n:], tb[:, :n], tb[:, n:]
+        contrib = np.empty_like(ta)
+        contrib[:, :n] = na * ub[:, :n] + nb * ua[:, :n]
+        contrib[:, n:] = (pa * (ub[:, :n] > 0) + na * ub[:, n:]
+                          + ua[:, n:] * (nb > 0) + ua[:, :n] * pb)
+        out = contrib.reshape(-1, k, 2 * n).sum(axis=1)
+        out[:, n:] += k * (out[:, :n] > 0)
+        return out
+
+    table = np.hstack([np.eye(n), np.zeros((n, n))])
+    for _, table in _levels(plan(n), table, combine):
+        pass
+    return table[0, :n], table[0, n:]
 
 
 def combine_count(n: int) -> int:

@@ -50,7 +50,7 @@ from .ingest import (
 from .solver import (
     condorcet_winner,
     count_winning_draws,
-    enumerate_winning_draws,
+    enumeration_choice_points,
     find_winning_draw,
     kings,
 )
@@ -90,7 +90,7 @@ def _load_tournaments(
     and head-to-head files also need ``--ranks``.
     """
     path = args.input
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         head = fh.read(8192)
     if head.lstrip().startswith("{"):
         prob = read_prob_matrix(path)
@@ -203,39 +203,34 @@ def cmd_count(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     report = count_winning_draws(det)
     elapsed = time.perf_counter() - start
+    nodes_all = enumeration_choice_points(det) if args.stats == "all" else None
     rows = []
     for rank, pid in enumerate(players.by_rank(), start=1):
-        count = report.counts[pid]
-        nodes_first = nodes_all = None
+        nodes_first = None
         if args.stats in ("first", "all"):
             nodes_first = find_winning_draw(det, pid).stats.choice_points
-        if args.stats == "all":
-            if count <= args.limit:
-                stream = enumerate_winning_draws(det, pid)
-                for _ in stream:
-                    pass
-                nodes_all = stream.stats.choice_points
         rows.append(
             {
                 "rank": rank,
                 "name": players.names[pid],
-                "count": count,
+                "count": report.counts[pid],
                 "share": report.shares[pid],
                 "nodes_first": nodes_first,
-                "nodes_all": nodes_all,
+                "nodes_all": None if nodes_all is None else nodes_all[pid],
             }
         )
     print(f"draws per bracket: {report.total_draws:,}")
     print(f"counting elapsed: {elapsed:.3f}s")
     name_w = max(4, max(len(r["name"]) for r in rows))
     count_w = max(13, max(len(f"{r['count']:,}") for r in rows))
+    all_w = max(9, max(len(_fmt_opt(r["nodes_all"])) for r in rows))
     print(f"{'rank':>4}  {'name':<{name_w}}  {'winning draws':>{count_w}}  "
-          f"{'share %':>10}  {'nodes 1st':>9}  {'nodes all':>9}")
+          f"{'share %':>10}  {'nodes 1st':>9}  {'nodes all':>{all_w}}")
     for r in rows:
         print(
             f"{r['rank']:>4}  {r['name']:<{name_w}}  {r['count']:>{count_w},}  "
             f"{r['share'] * 100:>10.6f}  {_fmt_opt(r['nodes_first']):>9}  "
-            f"{_fmt_opt(r['nodes_all']):>9}"
+            f"{_fmt_opt(r['nodes_all']):>{all_w}}"
         )
     doc = dict(_meta(args))
     doc["data"] = {"total_draws": report.total_draws, "players": rows}
@@ -484,11 +479,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_opts(count)
     _add_output_opts(count)
     count.add_argument("--stats", choices=("first", "all", "none"), default="first",
-                       help="search effort columns: first solution, full "
-                            "enumeration, or neither (default first)")
-    count.add_argument("--limit", type=int, default=1_000_000,
-                       help="skip full enumeration for players with more "
-                            "winning draws than this (default 1000000)")
+                       help="search effort columns in choice points: up to the "
+                            "first winning draw, also over the full enumeration "
+                            "(from a recurrence, without walking the draws), or "
+                            "neither (default first)")
     count.set_defaults(func=cmd_count)
 
     winprob = sub.add_parser("winprob",

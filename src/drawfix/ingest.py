@@ -1,6 +1,7 @@
 """Turning league results into pairwise tournaments.
 
-File formats (UTF-8 CSV, header row required, names quoted on output):
+File formats (UTF-8 CSV, a leading byte-order mark is ignored, header
+row required, names quoted on output):
 
   matches.csv   season,home,away,home_goals,away_goals
   h2h.csv       player_a,player_b,a_wins,b_wins
@@ -115,7 +116,7 @@ def _int_field(value: str, line: int, column: str) -> int:
 
 
 def _read_rows(path, header: list[str]) -> list[tuple[int, list[str]]]:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError(f"{path}: empty file")
@@ -364,7 +365,7 @@ def write_prob_matrix(path, t: ProbabilisticTournament, fmt: str = "json") -> No
 
 
 def read_prob_matrix(path) -> ProbabilisticTournament:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     head = text.lstrip()[:1]
     if head == "{":

@@ -9,7 +9,6 @@ brute-force enumeration.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ __all__ = [
     "FindResult",
     "DrawStream",
     "count_winning_draws",
+    "enumeration_choice_points",
     "find_winning_draw",
     "enumerate_winning_draws",
     "kings",
@@ -43,13 +43,11 @@ class SearchStats:
     branching node (for the counting recurrence: every subset/halving
     combination swept).  ``solutions_found`` counts draws delivered; for
     a count report it is the number of players with at least one winning
-    draw.  Wall-clock ``elapsed`` is in seconds and is the one field
-    that is not reproducible across runs.
+    draw.  Both are reproducible: the same input gives the same stats.
     """
 
     choice_points: int = 0
     solutions_found: int = 0
-    elapsed: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -94,7 +92,6 @@ def count_winning_draws(t: DeterministicTournament) -> WinCountReport:
     """Exact number of draws each player would win, summing to num_draws(n)."""
     n = t.n
     require_exact_size(n)
-    start = time.perf_counter()
     values = _subsetdp.sweep(n, t.beats.astype(float))
     if np.abs(values - np.round(values)).max() > 1e-6:
         raise RuntimeError("count recurrence produced a fractional count; this is a bug")
@@ -105,7 +102,6 @@ def count_winning_draws(t: DeterministicTournament) -> WinCountReport:
     stats = SearchStats(
         choice_points=_subsetdp.combine_count(n),
         solutions_found=sum(1 for c in counts if c),
-        elapsed=time.perf_counter() - start,
     )
     return WinCountReport(
         counts=counts,
@@ -113,6 +109,26 @@ def count_winning_draws(t: DeterministicTournament) -> WinCountReport:
         total_draws=total,
         stats=stats,
     )
+
+
+def enumeration_choice_points(t: DeterministicTournament) -> tuple[int, ...]:
+    """Choice points of the full enumeration of every player's draws.
+
+    Entry w equals ``enumerate_winning_draws(t, w).stats.choice_points``
+    once that stream is exhausted (0 when w wins no draw), without
+    walking a single draw: one recurrence over sub-brackets (see
+    _subsetdp.choice_points) gives every player's total.
+    """
+    n = t.n
+    require_exact_size(n)
+    counts, points = _subsetdp.choice_points(n, t.beats)
+    if not np.array_equal(points, np.floor(points)):
+        raise RuntimeError("choice-point recurrence produced a fraction; this is a bug")
+    if points.max() >= 2**53:
+        raise RuntimeError("choice-point recurrence left the exact float range; this is a bug")
+    if not np.array_equal(counts, _subsetdp.sweep(n, t.beats.astype(float))):
+        raise RuntimeError("choice-point recurrence disagrees with the count; this is a bug")
+    return tuple(int(p) for p in points)
 
 
 def _beats_bits(t: DeterministicTournament) -> list[int]:
@@ -149,18 +165,15 @@ def _enum(mask, winner, wm, beats, stats):
 def _draws(t, target, limit, stats):
     # The descent behind both find and enumerate.  It stops right after
     # the limit-th draw, without searching for the next one.
-    start = time.perf_counter()
     n = t.n
     wm = _subsetdp.winner_masks(n, t.beats)
     full = (1 << n) - 1
     if limit != 0 and wm[full] >> target & 1:
         for leaves in _enum(full, target, wm, _beats_bits(t), stats):
             stats.solutions_found += 1
-            stats.elapsed = time.perf_counter() - start
             yield Draw(leaves)
             if stats.solutions_found == limit:
                 break
-    stats.elapsed = time.perf_counter() - start
 
 
 def find_winning_draw(t: DeterministicTournament, target: int) -> FindResult:

@@ -1,4 +1,4 @@
-"""Acceptance gate: twelve checks the toolkit must pass, one test each.
+"""Acceptance gate: thirteen checks the toolkit must pass, one test each.
 
 Run ``pytest tests/test_acceptance.py -v`` for one PASS/FAIL line per
 criterion; each test also prints its own PASS line (visible with -s).
@@ -267,3 +267,17 @@ def test_criterion_12_cli_reproducibility(tmp_path):
     assert runs[0] == runs[1]
     report("criterion 12: repeated CLI runs with fixed config, seed and "
            "workers are byte-identical")
+
+
+def test_criterion_13_full_enumeration_effort(tmp_path):
+    out = tmp_path / "count.json"
+    start = time.perf_counter()
+    assert cli_main(["count", "--input", str(ROOT / "data" / "soccer_matches.csv"),
+                     "--ranks", str(ROOT / "data" / "soccer_ranks.csv"),
+                     "--stats", "all", "--output", str(out)]) == 0
+    elapsed = time.perf_counter() - start
+    players = json.loads(out.read_text())["data"]["players"]
+    assert all(p["nodes_all"] is not None for p in players)
+    assert elapsed < 5.0, f"soccer count --stats all took {elapsed:.2f}s"
+    report(f"criterion 13: full-enumeration choice points for all 16 soccer "
+           f"players in {elapsed:.2f}s (< 5s)")

@@ -108,6 +108,32 @@ class TestCount:
         assert [p["nodes_first"] for p in players] == [
             23, 21, 16, 31, 36, 22, 34, 42, 19, 23, 38, 18, 18, 19, 0, 0]
 
+    def test_soccer_nodes_all_pinned(self, tmp_path):
+        # Exhausting enumerate_winning_draws gives the same choice points
+        # for the six players with at most 10**6 winning draws and for
+        # ranks 12 and 13 (1.4 and 2.9 million draws, one and two minutes
+        # of walking); the walk of all 16 would take hours.
+        out = tmp_path / "count.json"
+        assert main(["count", "--input", str(DATA / "soccer_matches.csv"),
+                     "--ranks", str(DATA / "soccer_ranks.csv"), "--stats", "all",
+                     "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert "limit" not in doc["config"]
+        assert [p["nodes_all"] for p in doc["data"]["players"]] == [
+            136646441, 192581666, 2491136588, 35609632, 964846, 47671820,
+            40603970, 154672245, 100360023, 5615000, 1465873, 10186581,
+            22363354, 1347822, 0, 0]
+
+    def test_limit_option_is_gone(self, cr8_path, capsys):
+        with pytest.raises(SystemExit) as help_exit:
+            main(["count", "--help"])
+        assert help_exit.value.code == 0
+        assert "--limit" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as limit_exit:
+            main(["count", "--input", cr8_path, "--stats", "all", "--limit", "5"])
+        assert limit_exit.value.code == 2
+        assert "unrecognized arguments: --limit 5" in capsys.readouterr().err
+
     def test_csv_output(self, cr8_path, tmp_path):
         out = tmp_path / "count.csv"
         assert main(["count", "--input", cr8_path, "--format", "csv",
@@ -304,6 +330,63 @@ class TestDatasetInputs:
 
     def test_missing_file(self, tmp_path):
         assert main(["count", "--input", str(tmp_path / "nope.csv")]) == 2
+
+    @pytest.mark.parametrize("argv, marked", [
+        (["count", "--input", "mini_matches.csv", "--ranks", "mini_ranks.csv"],
+         "mini_matches.csv"),
+        (["count", "--input", "mini_matches.csv", "--ranks", "mini_ranks.csv"],
+         "mini_ranks.csv"),
+        (["kings", "--input", "tennis_h2h.csv", "--ranks", "tennis_ranks.csv"],
+         "tennis_h2h.csv"),
+        (["count", "--input", "cr8.csv"], "cr8.csv"),
+        (["count", "--input", "cr8.json"], "cr8.json"),
+    ], ids=["matches", "ranks", "h2h", "matrix-csv", "matrix-json"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, monkeypatch, argv, marked):
+        # Spreadsheet exports start a UTF-8 file with U+FEFF.
+        monkeypatch.chdir(tmp_path)
+        for name in ("mini_matches.csv", "mini_ranks.csv", "tennis_h2h.csv",
+                     "tennis_ranks.csv"):
+            Path(name).write_bytes((DATA / name).read_bytes())
+        matrix = generate_cr(CrParams(n=8, upset_prob=0.35))
+        write_prob_matrix("cr8.csv", matrix, fmt="csv")
+        write_prob_matrix("cr8.json", matrix)
+        assert main(argv + ["--format", "csv", "--output", "plain.csv"]) == 0
+        Path(marked).write_bytes(b"\xef\xbb\xbf" + Path(marked).read_bytes())
+        assert main(argv + ["--format", "csv", "--output", "bom.csv"]) == 0
+        assert Path("bom.csv").read_bytes() == Path("plain.csv").read_bytes()
+
+    @pytest.mark.parametrize("case, message", [
+        ("duplicate-fixture", "duplicate fixture"),
+        ("negative-goals", "must be a base-10 integer"),
+        ("nan", "must lie in [0, 1]"),
+        ("inf", "must lie in [0, 1]"),
+        ("non-square", "must be 2x2"),
+        ("inconsistent", "must equal 1"),
+        ("tennis-17", "power of two, got 17 players"),
+    ])
+    def test_rejected_input_exit_two(self, tmp_path, capsys, case, message):
+        matches = (DATA / "mini_matches.csv").read_text(encoding="utf-8")
+        lines = matches.splitlines(keepends=True)
+        mini = ["--ranks", str(DATA / "mini_ranks.csv")]
+        inputs = {
+            "duplicate-fixture": ("m.csv", matches + lines[1], mini),
+            "negative-goals": ("m.csv", matches.replace(",1,1\n", ",-1,1\n", 1), mini),
+            "nan": ("p.csv", '"name","a","b"\n"a",0.5,nan\n"b",nan,0.5\n', []),
+            "inf": ("p.csv", '"name","a","b"\n"a",0.5,inf\n"b",-inf,0.5\n', []),
+            "non-square": ("p.json", '{"format": "drawfix-probmatrix/1", "names": '
+                           '["a", "b"], "ranks": [1, 2], "probs": [[0.5, 0.5, 0.5], '
+                           '[0.5, 0.5, 0.5]]}\n', []),
+            "inconsistent": ("p.csv", '"name","a","b"\n"a",0.5,0.6\n"b",0.6,0.5\n', []),
+        }
+        if case == "tennis-17":
+            argv = ["--input", str(DATA / "tennis_h2h.csv"),
+                    "--ranks", str(DATA / "tennis_ranks.csv")]
+        else:
+            name, text, extra = inputs[case]
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            argv = ["--input", str(tmp_path / name), *extra]
+        assert main(["count", *argv]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from drawfix import (
     PlayerTable,
     ProbabilisticTournament,
     RankingTable,
+    count_winning_draws,
     drop_player,
     generate_cr,
     read_h2h,
@@ -24,6 +27,7 @@ from drawfix import (
     write_ranks,
 )
 
+DATA = Path(__file__).parent.parent / "data"
 RANKS = RankingTable(names=("A", "B", "C", "D"))
 
 
@@ -81,6 +85,13 @@ class TestCsvRoundTrips:
             "season,home,away,home_goals,away_goals\n2024,A,B,one,2\n")
         with pytest.raises(ValueError, match="integer"):
             read_matches(path)
+
+    def test_blank_line_skipped(self, tmp_path):
+        lines = (DATA / "mini_matches.csv").read_text(encoding="utf-8").splitlines(
+            keepends=True)
+        path = tmp_path / "m.csv"
+        path.write_text("".join(lines[:5] + ["\n"] + lines[5:]), encoding="utf-8")
+        assert read_matches(path) == read_matches(DATA / "mini_matches.csv")
 
     def test_rank_gap_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -278,3 +289,41 @@ class TestProbMatrixFiles:
         path.write_text('{"format": "drawfix-probmatrix/1", ' + fields + "}\n")
         with pytest.raises(ValueError, match=f"'{key}' must be a list"):
             read_prob_matrix(path)
+
+
+def _mini_soccer(tmp_path, edit):
+    """Tournaments from an edited copy of the mini fixture's match list."""
+    lines = (DATA / "mini_matches.csv").read_text(encoding="utf-8").splitlines(
+        keepends=True)
+    path = tmp_path / "m.csv"
+    path.write_text("".join(edit(lines)), encoding="utf-8")
+    return soccer_to_tournaments(read_matches(path), read_ranks(DATA / "mini_ranks.csv"))
+
+
+def _matrix(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return read_prob_matrix(path)
+
+
+@pytest.mark.parametrize("load, message", [
+    (lambda p: _mini_soccer(p, lambda ls: ls + ls[1:2]), "duplicate fixture"),
+    (lambda p: _mini_soccer(p, lambda ls: [ls[0], ls[1].replace(",1,1", ",-1,1")] + ls[2:]),
+     "must be a base-10 integer"),
+    (lambda p: _matrix(p, "m.csv", '"name","a","b"\n"a",0.5,nan\n"b",nan,0.5\n'),
+     r"must lie in \[0, 1\]"),
+    (lambda p: _matrix(p, "m.csv", '"name","a","b"\n"a",0.5,inf\n"b",-inf,0.5\n'),
+     r"must lie in \[0, 1\]"),
+    (lambda p: _matrix(p, "m.json", '{"format": "drawfix-probmatrix/1", "names": '
+                       '["a", "b"], "ranks": [1, 2], "probs": [[0.5, 0.5, 0.5], '
+                       '[0.5, 0.5, 0.5]]}\n'), "must be 2x2"),
+    (lambda p: _matrix(p, "m.csv", '"name","a","b"\n"a",0.5,0.6\n"b",0.6,0.5\n'),
+     "must equal 1"),
+    (lambda p: count_winning_draws(tennis_to_tournaments(
+        read_h2h(DATA / "tennis_h2h.csv"), read_ranks(DATA / "tennis_ranks.csv"))[0]),
+     "power of two, got 17 players"),
+], ids=["duplicate-fixture", "negative-goals", "nan", "inf", "non-square",
+        "inconsistent", "tennis-17"])
+def test_rejected_input_classes(tmp_path, load, message):
+    with pytest.raises(ValueError, match=message):
+        load(tmp_path)

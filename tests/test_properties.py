@@ -3,7 +3,8 @@
 Find and enumerate share one descent, and the single-draw and batched
 bracket evaluators share one survival loop; these properties pin the
 shared paths to each other and to the independent counting route.  The
-KS permutation p-value, one lattice-path count, is pinned to full
+choice-point recurrence is pinned to the exhausted descent it accounts
+for, and the KS permutation p-value, one lattice-path count, to full
 enumeration of the splits.
 """
 import numpy as np
@@ -21,6 +22,7 @@ from drawfix import (
     count_winning_draws,
     draw_win_probabilities,
     enumerate_winning_draws,
+    enumeration_choice_points,
     find_winning_draw,
     ks_two_sample,
     simulate,
@@ -68,8 +70,7 @@ def test_find_is_first_enumerated_draw(t):
         stream = enumerate_winning_draws(t, target, limit=1)
         draws = list(stream)
         assert draws == ([] if found.draw is None else [found.draw])
-        assert found.stats.choice_points == stream.stats.choice_points
-        assert found.stats.solutions_found == stream.stats.solutions_found
+        assert found.stats == stream.stats
 
 
 @SETTINGS
@@ -90,6 +91,16 @@ def test_enumeration_matches_count(t):
         for d in draws:
             assert canonicalize(d.leaves) == d
             assert simulate(d, t) == target
+
+
+@SETTINGS
+@given(relations())
+def test_choice_point_recurrence_matches_walk(t):
+    points = enumeration_choice_points(t)
+    for target in range(t.n):
+        stream = enumerate_winning_draws(t, target)
+        list(stream)
+        assert points[target] == stream.stats.choice_points
 
 
 @SETTINGS

@@ -9,6 +9,7 @@ from drawfix import (
     condorcet_winner,
     count_winning_draws,
     enumerate_winning_draws,
+    enumeration_choice_points,
     find_winning_draw,
     kings,
     num_draws,
@@ -153,6 +154,28 @@ class TestEnumerateWinningDraws:
         list(stream)
         assert stream.stats.solutions_found == 1
         assert stream.stats.choice_points >= 1
+
+
+class TestEnumerationChoicePoints:
+    def test_cycle(self, cycle4):
+        # p0, p1 and p2 each win one draw: three halvings at the top, two
+        # pairs below; p3 wins none, so its enumeration examines nothing.
+        assert enumeration_choice_points(cycle4) == (5, 5, 5, 0)
+
+    def test_too_large(self):
+        with pytest.raises(ResourceLimitError):
+            enumeration_choice_points(transitive(32))
+
+    @pytest.mark.parametrize("counts, points", [
+        ([1.0, 1.0, 1.0, 0.0], [5.0, 5.5, 5.0, 0.0]),
+        ([1.0, 1.0, 1.0, 0.0], [5.0, 2.0**53, 5.0, 0.0]),
+        ([1.0, 1.0, 0.0, 1.0], [5.0, 5.0, 5.0, 0.0]),
+    ], ids=["fraction", "inexact-range", "count-mismatch"])
+    def test_bad_recurrence_is_a_bug(self, cycle4, monkeypatch, counts, points):
+        monkeypatch.setattr(_subsetdp, "choice_points",
+                            lambda n, beats: (np.array(counts), np.array(points)))
+        with pytest.raises(RuntimeError, match="bug"):
+            enumeration_choice_points(cycle4)
 
 
 class TestKings:
