@@ -16,7 +16,8 @@ Every subcommand prints a short human-readable report to stdout.  With
 rerun with the same inputs and seed reproduces them byte for byte.
 
 Exit codes: 0 success, 2 bad input, 3 negative result (e.g. no winning
-draw exists), 4 instance too large for exact analysis.
+draw exists), 4 instance too large for exact analysis, 141 the reader of
+the output closed it early.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 
@@ -74,6 +76,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NEGATIVE = 3
 EXIT_RESOURCE = 4
+# 128 + SIGPIPE: what a shell reports for a writer whose reader went away.
+EXIT_BROKEN_PIPE = 141
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +549,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of the output closed it (as `| head` does), which says
+        # nothing about the input.  Stdout goes to the null device so that
+        # the flush at exit does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -44,10 +44,11 @@ class ResourceLimitError(RuntimeError):
 # temporaries; at 32 players the |S| = 16 level alone has 6e8 subsets.
 MAX_EXACT_PLAYERS = 16
 
-# The upset-model generator and the draw sampler hold arrays that grow
-# with n squared: the model matrix and its index arrays (2 GiB each at
-# 16384 players), and in the sampler's last round two float temporaries
-# of 4096 * n**2 / 4 entries each (32 MiB at 64 players, 8.6 GB at 1024).
+# The upset-model generator holds arrays that grow with n squared: the
+# model matrix and its index arrays (2 GiB each at 16384 players).  The
+# draw sampler's player-space rounds take about n**3 multiply-adds per
+# bracket: 2.6e5 at 64 players, about 0.1 s per 4,096-draw batch, and
+# 4096 times that at 1024 players, minutes per batch.
 MAX_MODEL_PLAYERS = 64
 
 
@@ -295,30 +296,60 @@ def simulate(draw: Draw, t: DeterministicTournament) -> int:
     return alive[0]
 
 
+# Round two of a chunk holds rows x n/2 x n floats (512 KiB here), so a
+# chunk's rounds stay in a core's cache; a 4,096-draw batch at 16 players
+# is eight chunks.
+_CHUNK_ENTRIES = 1 << 16
+
+
 def bracket_survival(probs: np.ndarray, leaves: np.ndarray) -> np.ndarray:
-    """Win probability of every leaf, for a batch of brackets at once.
+    """Win probability of every player, for a batch of brackets at once.
 
     ``leaves`` holds one leaf order per row (shape b x n); the result has
-    the same shape and gives each leaf's chance to win its bracket.
-    Round by round, a player's survival probability is its previous
-    survival times the chance of beating whichever opponent emerges from
-    the sibling block.
+    the same shape and gives, indexed by player id, each player's chance
+    to win that row's bracket.  Round one looks up each pair's two match
+    probabilities directly.  From round two on, every block of the
+    bracket is a length-n row holding its players' survival and zero
+    elsewhere, and sibling blocks ``ca`` and ``cb`` merge as
+    ``ca * (cb @ mt) + cb * (ca @ mt)`` with ``mt = probs.T``: a player's
+    survival times its chance of beating whoever emerges from the
+    sibling block.  This is the product :func:`drawfix._subsetdp.sweep`
+    applies to each halving, here on one fixed halving per block.
+    Brackets are evaluated in chunks of ``_CHUNK_ENTRIES // (n * n / 2)``
+    rows, which bounds the round-two table and leaves every value as it
+    is.
     """
     b, n = leaves.shape
-    surv = np.ones((b, n))
-    block = 1
-    while block < n:
-        ids = leaves.reshape(b, -1, 2, block)
-        s = surv.reshape(b, -1, 2, block)
-        left, right = ids[:, :, 0, :], ids[:, :, 1, :]
-        p_lr = probs[left[..., :, None], right[..., None, :]]
-        p_rl = probs[right[..., :, None], left[..., None, :]]
-        nxt = np.empty_like(s)
-        nxt[:, :, 0, :] = s[:, :, 0, :] * (p_lr * s[:, :, 1, :][..., None, :]).sum(axis=-1)
-        nxt[:, :, 1, :] = s[:, :, 1, :] * (p_rl * s[:, :, 0, :][..., None, :]).sum(axis=-1)
-        surv = nxt.reshape(b, n)
-        block *= 2
-    return surv
+    out = np.ones((b, n))
+    if n == 1:
+        return out
+    mt = np.ascontiguousarray(probs.T)
+    step = min(b, max(1, _CHUNK_ENTRIES // (n * n // 2)))
+    # Every chunk reuses the same two buffers: fresh pages for each
+    # round's arrays cost about as much as the arithmetic on them.
+    table, prod = np.empty((2, step * n * n // 2))
+    for start in range(0, b, step):
+        ids = leaves[start:start + step]
+        m, k = len(ids), n // 2
+        # blocks[j, r] is block j of bracket r, so siblings are the even
+        # and the odd block slabs, each a contiguous m x n array.
+        blocks = table[:k * m * n].reshape(k, m, n)
+        blocks.fill(0.0)
+        a, c = ids[:, 0::2].T, ids[:, 1::2].T
+        pairs, rows = np.arange(k)[:, None], np.arange(m)[None, :]
+        blocks[pairs, rows, a] = probs[a, c]
+        blocks[pairs, rows, c] = probs[c, a]
+        while k > 1:
+            # ca * (cb @ mt) + cb * (ca @ mt), in place in the product.
+            u = prod[:k * m * n].reshape(k, m, n)
+            np.matmul(blocks.reshape(-1, n), mt, out=u.reshape(-1, n))
+            u[0::2] *= blocks[1::2]
+            u[1::2] *= blocks[0::2]
+            k //= 2
+            blocks = table[:k * m * n].reshape(k, m, n)
+            np.add(u[0::2], u[1::2], out=blocks)
+        out[start:start + m] = blocks[0]
+    return out
 
 
 def draw_win_probabilities(draw: Draw, t: ProbabilisticTournament) -> np.ndarray:
@@ -329,7 +360,4 @@ def draw_win_probabilities(draw: Draw, t: ProbabilisticTournament) -> np.ndarray
     """
     if draw.n != t.n:
         raise ValueError(f"draw has {draw.n} leaves but tournament has {t.n} players")
-    order = np.array([draw.leaves], dtype=np.intp)
-    out = np.empty(t.n)
-    out[order[0]] = bracket_survival(t.probs, order)[0]
-    return out
+    return bracket_survival(t.probs, np.array([draw.leaves], dtype=np.intp))[0]

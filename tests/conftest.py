@@ -1,12 +1,17 @@
 import sys
 from pathlib import Path
 
+# drawfix sets OPENBLAS_NUM_THREADS=1, which OpenBLAS reads only when
+# numpy loads.  Importing drawfix first runs the tests' matrix products on
+# one BLAS thread, as under the CLI.
+NUMPY_LOADED_BEFORE_DRAWFIX = "numpy" in sys.modules
+
+from drawfix import DeterministicTournament, PlayerTable, ProbabilisticTournament
+
 import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-
-from drawfix import DeterministicTournament, PlayerTable, ProbabilisticTournament
 
 
 @pytest.fixture

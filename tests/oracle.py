@@ -41,6 +41,14 @@ def tree_leaves(tree):
     return tree_leaves(left) + tree_leaves(right)
 
 
+def leaves_tree(leaves):
+    """The nested pair tree whose leaf order is ``leaves``."""
+    if len(leaves) == 1:
+        return int(leaves[0])
+    half = len(leaves) // 2
+    return (leaves_tree(leaves[:half]), leaves_tree(leaves[half:]))
+
+
 def tree_winner(tree, beats):
     """Play out a deterministic bracket; ``beats[i][j]`` is True if i beats j."""
     if isinstance(tree, int):

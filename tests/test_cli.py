@@ -389,9 +389,13 @@ class TestDatasetInputs:
         assert message in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _cli_env():
     src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    return dict(os.environ, PYTHONPATH=str(src))
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    env = _cli_env()
     code = "import sys, drawfix.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
@@ -400,8 +404,7 @@ def test_cli_import_leaves_scipy_unloaded():
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
 def test_cli_import_keeps_blas_on_one_thread(preset, expected):
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = _cli_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
@@ -409,3 +412,44 @@ def test_cli_import_keeps_blas_on_one_thread(preset, expected):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == expected
+
+
+def test_tests_load_numpy_after_drawfix():
+    import conftest
+
+    assert not conftest.NUMPY_LOADED_BEFORE_DRAWFIX
+
+
+def test_reader_closing_after_one_line_is_not_bad_input():
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipe capacity cannot be set here")
+    read_fd, write_fd = os.pipe()
+    # A one-page pipe holds a small part of the 47 KB matrix, so the writer
+    # is still writing when the reader goes away.
+    fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+    argv = [sys.executable, "-m", "drawfix", "gen-cr", "--players", "64",
+            "--upset-prob", "0.3", "--output", "/dev/stdout"]
+    with os.fdopen(read_fd, "rb") as reader:
+        proc = subprocess.Popen(argv, env=_cli_env(), stdout=write_fd,
+                                stderr=subprocess.PIPE)
+        os.close(write_fd)
+        assert reader.readline() == b"{\n"
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
+
+
+def test_reader_gone_before_the_report_is_not_bad_input():
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    argv = [sys.executable, "-m", "drawfix", "count", "--stats", "first",
+            "--input", str(DATA / "soccer_matches.csv"),
+            "--ranks", str(DATA / "soccer_ranks.csv")]
+    try:
+        proc = subprocess.run(argv, env=_cli_env(), stdout=write_fd,
+                              stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_fd)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

@@ -2,10 +2,10 @@
 
 Find and enumerate share one descent, and the single-draw and batched
 bracket evaluators share one survival loop; these properties pin the
-shared paths to each other and to the independent counting route.  The
-choice-point recurrence is pinned to the exhausted descent it accounts
-for, and the KS permutation p-value, one lattice-path count, to full
-enumeration of the splits.
+shared paths to each other, to the independent counting route and to the
+oracle's tree walk.  The choice-point recurrence is pinned to the
+exhausted descent it accounts for, and the KS permutation p-value, one
+lattice-path count, to full enumeration of the splits.
 """
 import numpy as np
 import pytest
@@ -32,6 +32,9 @@ from drawfix.core import bracket_survival
 import oracle
 
 SIZES = st.sampled_from([1, 2, 4, 8])
+# Scoring one bracket is cheap in the oracle, so the evaluator's properties
+# reach the exact-method limit.
+BRACKET_SIZES = st.sampled_from([1, 2, 4, 8, 16])
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
@@ -50,7 +53,7 @@ def relations(draw):
 
 @st.composite
 def matrices_and_orders(draw):
-    n = draw(SIZES)
+    n = draw(BRACKET_SIZES)
     pairs = n * (n - 1) // 2
     upper = draw(st.lists(st.floats(0.0, 1.0), min_size=pairs, max_size=pairs))
     probs = np.full((n, n), 0.5)
@@ -110,10 +113,19 @@ def test_single_draw_is_a_batch_row(case):
     draws = [canonicalize(order) for order in orders]
     leaves = np.array([d.leaves for d in draws], dtype=np.intp)
     batch = bracket_survival(t.probs, leaves)
-    for row, d, surv in zip(leaves, draws, batch):
-        by_player = np.empty(t.n)
-        by_player[row] = surv
-        assert np.array_equal(draw_win_probabilities(d, t), by_player)
+    for d, surv in zip(draws, batch):
+        assert np.array_equal(draw_win_probabilities(d, t), surv)
+
+
+@SETTINGS
+@given(matrices_and_orders())
+def test_bracket_survival_matches_oracle(case):
+    t, orders = case
+    batch = bracket_survival(t.probs, np.array(orders, dtype=np.intp))
+    for order, surv in zip(orders, batch):
+        want = oracle.tree_win_probs(oracle.leaves_tree(order), t.probs)
+        assert np.abs(surv - [want[i] for i in range(t.n)]).max() <= 1e-12
+        assert abs(surv.sum() - 1.0) <= 1e-12
 
 
 # Values from a set of four, so most samples hold ties within and across.
