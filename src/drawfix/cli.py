@@ -309,6 +309,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
         reference_avg_upset=avg_upset,
     )
     elapsed = time.perf_counter() - start
+    # as many decimals as the step has (the grid is rounded to 10), so
+    # every grid point keeps its own label
+    places = max(2, len(f"{args.step:.10f}".rstrip("0").partition(".")[2]))
     print(f"players: {prob.n}")
     print(f"average upset probability of input: {avg_upset:.4f}")
     if result.min_accepted is None:
@@ -316,13 +319,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
     else:
         print(
             f"accepted upset probabilities at threshold {args.threshold}: "
-            f"{result.min_accepted:.2f} .. {result.max_accepted:.2f}"
+            f"{result.min_accepted:.{places}f} .. {result.max_accepted:.{places}f}"
         )
     print(f"elapsed: {elapsed:.3f}s")
     print(f"{'upset prob':>10}  {'KS stat':>8}  {'p value':>8}  accepted")
     for step in result.steps:
         print(
-            f"{step.upset_prob:>10.2f}  {step.ks.statistic:>8.4f}  "
+            f"{step.upset_prob:>10.{places}f}  {step.ks.statistic:>8.4f}  "
             f"{step.ks.p_value:>8.4f}  {'yes' if step.accepted else 'no'}"
         )
     steps = [

@@ -8,6 +8,10 @@ sorted pooled sample with ties kept together; large samples use the
 asymptotic Kolmogorov distribution, which is approximate for 16-point
 samples.  scipy is imported only by the code that needs it, so
 importing this module (and the CLI) does not load it.
+
+The upset-model scan scores its whole grid with an O(n^2) recurrence
+over ranks and takes an exact subset sweep only at grid points whose KS
+result the recurrence's rounding could change.
 """
 from __future__ import annotations
 
@@ -352,70 +356,60 @@ def likelihood_ratio_test(
     return LrtResult(r=r, p_value=p, first=first.family, second=second.family)
 
 
-# Finest scan grid: at most 500 points.  Each is read off the model's
-# interpolated curve (_cr_curve), or swept exactly where the curve cannot
-# settle its KS result, so the step no longer sets the number of sweeps.
+# Finest scan grid: at most 500 points.  The rank recurrence
+# (_cr_rank_probs) scores every grid point at once, so the step sets no
+# number of sweeps.
 MIN_SCAN_STEP = 0.001
 
-# Error bound assumed for the curve.  It measures about 2e-13 at n = 16
-# and is checked at u = 1/2, where every exact entry is 1/n.
-_CURVE_TOL = 1e-9
+# Error bound assumed for the rank recurrence.  Against exact rational
+# arithmetic it measures about 4e-16 at n = 16, and the exact sweep
+# about 6e-14.
+_RANK_PROB_TOL = 1e-9
 
 
-# The exact sweep for one grid point that the curve cannot settle.  One
-# scan has at most 500 grid points and this cache holds that many, so
-# scans with different steps in one process cannot grow it without bound.
+# The exact sweep for one grid point whose KS result the recurrence's
+# rounding could change.  One scan has at most 500 grid points and this
+# cache holds that many, so scans with different steps in one process
+# cannot grow it without bound.
 @lru_cache(maxsize=round(0.5 / MIN_SCAN_STEP))
 def _cr_win_prob_sample(n: int, upset_prob: float) -> EmpiricalSample:
     vec = exact_uniform_win_probs(generate_cr(CrParams(n, upset_prob)))
     return EmpiricalSample.from_values(vec.entries, label=f"cr-{upset_prob:g}")
 
 
-# One entry per bracket size the exact sweep accepts (n = 1 .. 16), so at
-# most five.
-@lru_cache(maxsize=None)
-def _cr_curve(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chebyshev nodes, barycentric weights and model win vectors at the nodes.
+def _cr_rank_probs(n: int, us: np.ndarray) -> np.ndarray:
+    """Upset-model uniform-draw win probability of every rank; one row per u.
 
-    Under the upset model each player's exact win probability is a
-    polynomial of degree at most n - 1 in the upset probability u (a draw
-    plays n - 1 matches, each linear in u), so its values at n Chebyshev
-    nodes on [0, 1] determine it.  Ids are in rank order, so reversing
-    the ranks maps u to 1 - u and reverses the vector: the nodes pair up
-    as x, 1 - x and only those in (0, 1/2] need an exact sweep.
+    Column r is the player with r better players.  A uniform draw of 2s
+    players is a uniform split into halves followed by independent
+    uniform draws of each half, and any s players of the model play like
+    ranks 0 .. s-1.  So with f_s the win probabilities in a bracket of s
+    and a the number of the player's s - 1 half-mates that are better
+    (hypergeometric over the 2s - 1 others),
+
+        f_2s(r) = sum_a H(a) f_s(a) (u F_s(r-a) + (1-u) (1 - F_s(r-a))),
+
+    where F_s(c) is the chance that the other half's winner is one of
+    its c players better than r.
     """
-    require_exact_size(n)
-    k = np.arange(n)
-    theta = (2 * k + 1) * np.pi / (2 * n)
-    half = (n + 1) // 2
-    low = (1.0 + np.cos(theta[::-1][:half])) / 2  # ascending, in (0, 1/2]
-    nodes = np.concatenate([low, 1.0 - low[: n // 2][::-1]])
-    weights = (-1.0) ** k * np.sin(theta)
-    values = np.empty((n, n))
-    for i, u in enumerate(low):
-        vec = exact_uniform_win_probs(generate_cr(CrParams(n, float(u))))
-        values[i] = vec.entries
-        values[n - 1 - i] = vec.entries[::-1]
-    for a in (nodes, weights, values):
-        a.flags.writeable = False
-    fair = _eval_curve((nodes, weights, values), np.array([0.5]))[0]
-    if np.abs(fair - 1.0 / n).max() > _CURVE_TOL:
+    us = np.asarray(us, dtype=float)[:, None, None]
+    f = np.ones((us.shape[0], 1))
+    s = 1
+    while s < n:
+        h = np.array([[comb(r, a) * comb(2 * s - 1 - r, s - 1 - a) for a in range(s)]
+                      for r in range(2 * s)], dtype=float) / comb(2 * s - 1, s - 1)
+        # better players in the other half; h is zero wherever the clip acts
+        c = np.clip(np.arange(2 * s)[:, None] - np.arange(s), 0, s)
+        zero = np.zeros((f.shape[0], 1))
+        below = np.concatenate([zero, np.cumsum(f, axis=1)], axis=1)
+        above = np.concatenate([np.cumsum(f[:, ::-1], axis=1)[:, ::-1], zero], axis=1)
+        beats = us * below[:, c] + (1.0 - us) * above[:, c]
+        f = (h * f[:, None, :] * beats).sum(axis=2)
+        s *= 2
+    if np.abs(f.sum(axis=1) - 1.0).max(initial=0.0) > 1e-12:
         raise RuntimeError(
-            "interpolated upset-model curve misses 1/n at u = 1/2; this is a bug")
-    return nodes, weights, values
-
-
-def _eval_curve(curve, us: np.ndarray) -> np.ndarray:
-    """Barycentric evaluation of the curve at every u; one row per u."""
-    nodes, weights, values = curve
-    diff = us[:, None] - nodes[None, :]
-    hit = diff == 0.0
-    diff[hit] = 1.0
-    c = weights / diff
-    out = (c @ values) / c.sum(axis=1)[:, None]
-    rows, cols = np.nonzero(hit)
-    out[rows] = values[cols]
-    return out
+            "upset-model rank probabilities do not sum to 1; this is a bug")
+    return f
 
 
 @dataclass(frozen=True)
@@ -453,10 +447,11 @@ def scan_cr(
     ``step`` must lie in [MIN_SCAN_STEP, 0.5], so the grid has at most
     500 points.
 
-    The model vectors are read off an interpolated curve that costs
-    ceil(n/2) exact sweeps once per n; a grid point whose KS result the
-    curve's rounding could change takes its own exact sweep instead, so
-    the result equals that of one exact sweep per grid point.
+    The model vectors come from an O(n^2) recurrence over ranks that
+    scores the whole grid without a subset sweep; a grid point whose KS
+    result its rounding could change takes its own exact sweep instead
+    (at u = 1/2 every entry ties), so the result equals that of one
+    exact sweep per grid point.
 
     ``reference_avg_upset`` is carried through to the report; pass the
     value from :func:`drawfix.crmodel.average_upset_probability` when
@@ -476,14 +471,15 @@ def scan_cr(
         grid.append(round(k * step, 10))
         k += 1
     # KS statistics and p-values depend only on how the pooled values
-    # order and tie, and the curve is within _CURVE_TOL of the exact
-    # sweep, whose entries are all positive.  So an interpolated vector
+    # order and tie, and the recurrence is within _RANK_PROB_TOL of the
+    # exact sweep, whose entries are all positive.  So a recurrence vector
     # gives the exact sweep's KS result unless one of its entries lies
-    # within 2 * _CURVE_TOL of another entry or of a reference value, or
-    # is not positive (a sample must be).  Such grid points are swept.
-    model = np.sort(_eval_curve(_cr_curve(n), np.array(grid)), axis=1)
+    # within 2 * _RANK_PROB_TOL of another entry or of a reference value,
+    # or is not positive (a sample must be).  Such grid points are swept.
+    require_exact_size(n)
+    model = np.sort(_cr_rank_probs(n, np.array(grid)), axis=1)
     ref = np.array(reference.values)
-    close = 2 * _CURVE_TOL
+    close = 2 * _RANK_PROB_TOL
     undecided = (
         (np.diff(model, axis=1) <= close).any(axis=1)
         | (np.abs(model[:, :, None] - ref).min(axis=2) <= close).any(axis=1)

@@ -222,6 +222,16 @@ class TestScan:
         assert lines[0] == "upset_prob,statistic,p_value,accepted"
         assert len(lines) == 6
 
+    def test_fine_step_keeps_grid_labels(self, capsys):
+        assert main(["scan", "--input", str(DATA / "mini_matches.csv"),
+                     "--ranks", str(DATA / "mini_ranks.csv"), "--step", "0.001"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(i for i, line in enumerate(lines) if line.lstrip().startswith("upset prob"))
+        labels = [row.split()[0] for row in lines[header + 1:]]
+        assert len(labels) == 500
+        assert len(set(labels)) == 500
+        assert labels[0] == "0.001"
+
 
 class TestResourceLimits:
     @pytest.mark.parametrize("argv", [

@@ -4,8 +4,9 @@ Find and enumerate share one descent, and the single-draw and batched
 bracket evaluators share one survival loop; these properties pin the
 shared paths to each other, to the independent counting route and to the
 oracle's tree walk.  The choice-point recurrence is pinned to the
-exhausted descent it accounts for, and the KS permutation p-value, one
-lattice-path count, to full enumeration of the splits.
+exhausted descent it accounts for, the KS permutation p-value, one
+lattice-path count, to full enumeration of the splits, and the upset
+model's rank recurrence to full enumeration of the draws.
 """
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from drawfix import (
+    CrParams,
     DeterministicTournament,
     EmpiricalSample,
     PlayerTable,
@@ -24,10 +26,12 @@ from drawfix import (
     enumerate_winning_draws,
     enumeration_choice_points,
     find_winning_draw,
+    generate_cr,
     ks_two_sample,
     simulate,
 )
 from drawfix.core import bracket_survival
+from drawfix.stats import _cr_rank_probs
 
 import oracle
 
@@ -138,3 +142,11 @@ def test_ks_permutation_p_matches_enumeration(a, b):
     res = ks_two_sample(EmpiricalSample.from_values(a), EmpiricalSample.from_values(b),
                         method="permutation")
     assert res.p_value == oracle.ks_permutation_p(a, b)
+
+
+@SETTINGS
+@given(SIZES, st.floats(0.0, 0.5, exclude_min=True))
+def test_cr_rank_recurrence_matches_oracle(n, u):
+    got = _cr_rank_probs(n, np.array([u]))[0]
+    want = oracle.uniform_win_probs(n, generate_cr(CrParams(n, u)).probs)
+    assert np.abs(got - want).max() <= 1e-12

@@ -393,6 +393,13 @@ def _reference(kind, n, step):
     return EmpiricalSample.from_values([1e-9] * (n - 1) + [1.0 - (n - 1) * 1e-9])
 
 
+def _soccer_sample():
+    data = Path(__file__).parent.parent / "data"
+    _, prob = soccer_to_tournaments(read_matches(data / "soccer_matches.csv"),
+                                    read_ranks(data / "soccer_ranks.csv"))
+    return EmpiricalSample.from_win_probs(exact_uniform_win_probs(prob))
+
+
 _EQUIVALENCE_CASES = [
     (n, step, kind)
     for n in (1, 2, 4, 8)
@@ -408,16 +415,13 @@ class TestScanCrMatchesDirectSweeps:
         assert scan_cr(reference, n, step=step) == _direct_scan(reference, n, step)
 
     def test_sixteen_players(self):
-        data = Path(__file__).parent.parent / "data"
-        _, prob = soccer_to_tournaments(read_matches(data / "soccer_matches.csv"),
-                                        read_ranks(data / "soccer_ranks.csv"))
-        soccer = EmpiricalSample.from_win_probs(exact_uniform_win_probs(prob))
         cr = EmpiricalSample.from_win_probs(
             exact_uniform_win_probs(generate_cr(CrParams(16, 0.3))))
-        for reference in (soccer, cr):
-            assert scan_cr(reference, 16) == _direct_scan(reference, 16, 0.01)
+        for reference in (_soccer_sample(), cr):
+            for step in (0.01, 0.05, 0.1):
+                assert scan_cr(reference, 16, step=step) == _direct_scan(reference, 16, step)
 
-    def test_sweep_count_does_not_grow_with_the_grid(self, monkeypatch):
+    def test_soccer_sweeps_only_undecided_points(self, monkeypatch):
         calls = []
         real = stats.exact_uniform_win_probs
 
@@ -425,17 +429,27 @@ class TestScanCrMatchesDirectSweeps:
             calls.append(t.n)
             return real(t)
 
+        soccer = _soccer_sample()
         monkeypatch.setattr(stats, "exact_uniform_win_probs", counted)
-        stats._cr_curve.cache_clear()
-        _cr_win_prob_sample.cache_clear()
-        reference = _reference("lognormal", 8, 0.001)
-        scan_cr(reference, 8, step=0.001)
-        assert len(calls) <= 8 // 2 + 8
+        for step, most in ((0.1, 1), (0.01, 1), (0.001, 4)):
+            _cr_win_prob_sample.cache_clear()
+            calls.clear()
+            scan_cr(soccer, 16, step=step)
+            # u = 1/2 ties every model entry, so it is always swept
+            assert 1 <= len(calls) <= most
 
-    def test_curve_misses_fair_coin_raises(self, monkeypatch):
-        # every node swept at one upset probability: not the model's curve
-        monkeypatch.setattr(stats, "generate_cr",
-                            lambda p: generate_cr(CrParams(p.n, 0.3)))
-        stats._cr_curve.cache_clear()
+
+class TestCrRankProbs:
+    def test_matches_exact_sweep_at_sixteen(self):
+        rng = np.random.default_rng(16)
+        us = rng.uniform(0.0, 0.5, size=20)
+        got = stats._cr_rank_probs(16, us)
+        for u, row in zip(us, got):
+            want = exact_uniform_win_probs(generate_cr(CrParams(16, float(u)))).entries
+            np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
+
+    def test_rows_not_summing_to_one_raise(self, monkeypatch):
+        # wrong hypergeometric weights: no longer the model's draw
+        monkeypatch.setattr(stats, "comb", lambda a, b: math.comb(a, b) + 1)
         with pytest.raises(RuntimeError, match="bug"):
-            stats._cr_curve(4)
+            stats._cr_rank_probs(4, np.array([0.25]))
