@@ -6,8 +6,9 @@ first.  The plan below enumerates, level by level (|S| = 2, 4, ..., n),
 every subset together with its halvings, as row indices into the
 previous level's table.  Each level is built with numpy: the subsets of
 a level come from one member array, every parent shares one halving
-position pattern, and a dense ``2**n`` array maps a half's bitmask to
-its row in the previous level.
+position pattern (so all A halves are one product of the member bits
+with a 0/1 selection matrix), and a dense ``2**n`` array maps a half's
+bitmask to its row in the previous level.
 
 Sweeps over the plan run level by level in blocks of whole parent
 subsets (about ``_BLOCK_ROWS`` halving rows each), writing into a
@@ -98,10 +99,14 @@ def plan(n: int) -> Plan:
         half = size // 2
         bits = np.left_shift(1, _combinations(n, size))
         masks = bits.sum(axis=1)
-        # Position 0 (the subset's minimum) always goes into A.
+        # select[p, j] is 1 when member position p goes into half A of
+        # halving j; position 0 (the subset's minimum) always does.  Masks
+        # stay below 2^16, so the float64 product is exact.
         rest = _combinations(size - 1, half - 1) + 1
-        a_pos = np.hstack([np.zeros((len(rest), 1), dtype=np.int64), rest])
-        amasks = bits[:, a_pos].sum(axis=2)
+        select = np.zeros((size, len(rest)))
+        select[0] = 1.0
+        select[rest, np.arange(len(rest))[:, None]] = 1.0
+        amasks = (bits.astype(float) @ select).astype(np.int64)
         bmasks = masks[:, None] - amasks
         levels.append(
             Level(

@@ -6,8 +6,9 @@ never depend on float rounding.  For small pooled samples the p-value
 is the exact permutation probability, one lattice-path count over the
 sorted pooled sample with ties kept together; large samples use the
 asymptotic Kolmogorov distribution, which is approximate for 16-point
-samples.  scipy is imported only by the code that needs it, so
-importing this module (and the CLI) does not load it.
+samples.  Only the asymptotic KS path (pooled size above 32) imports
+scipy; importing this module, the CLI and a default ``fit`` do not
+load it.
 
 The upset-model scan scores its whole grid with an O(n^2) recurrence
 over ranks and takes an exact subset sweep only at grid points whose KS
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, fsum, log, pi, sqrt
+from math import comb, erfc, fsum, log, pi, sqrt
 
 import numpy as np
 
@@ -204,14 +205,15 @@ class FitResult:
         )
 
     def survival(self, x) -> np.ndarray:
-        """P(X > x) under the fitted family (conditional on the tail)."""
+        """P(X > x) under the fitted family (conditional on the tail).
+
+        The log-normal survival is evaluated elementwise with ``math.erfc``.
+        """
         x = np.asarray(x, dtype=float)
         if self.family == "power-law":
             return np.where(x < self.xmin, 1.0, (x / self.xmin) ** (1 - self.alpha))
-        from scipy.special import erfc
-
         z = (np.log(x) - self.mu) / (self.sigma * sqrt(2))
-        return 0.5 * erfc(z)
+        return 0.5 * np.fromiter(map(erfc, z.flat), dtype=float, count=z.size).reshape(z.shape)
 
 
 def _powerlaw_alpha(tail: np.ndarray, xm: float) -> tuple[float, float]:
@@ -348,8 +350,6 @@ def likelihood_ratio_test(
         raise UndefinedTestError(
             "log-likelihood difference is constant; the ratio test is undefined"
         )
-    from scipy.special import erfc
-
     m = diff.size
     r = float(fsum(diff) / (sqrt(m) * sd))
     p = float(erfc(abs(r) / sqrt(2)))

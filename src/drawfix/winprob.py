@@ -10,7 +10,6 @@ cross-check).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +147,9 @@ def sample_uniform_win_probs(
     if workers == 1:
         parts = [run_worker(0)]
     else:
+        # Imported here: it loads logging, which no other path needs.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as ex:
             parts = list(ex.map(run_worker, range(workers)))
 

@@ -412,6 +412,25 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_thread_pool_unloaded():
+    env = _cli_env()
+    code = "import sys, drawfix.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
+def test_default_fit_leaves_scipy_unloaded():
+    env = _cli_env()
+    code = ("import sys, drawfix.cli; "
+            "rc = drawfix.cli.main(['fit', '--input', 'data/mini_matches.csv', "
+            "'--ranks', 'data/mini_ranks.csv']); "
+            "print(rc, 'scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         cwd=DATA.parent, capture_output=True, text=True, timeout=60)
+    assert out.stdout.splitlines()[-1] == "0 False"
+
+
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
 def test_cli_import_keeps_blas_on_one_thread(preset, expected):
     env = _cli_env()

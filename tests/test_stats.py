@@ -249,6 +249,24 @@ class TestLogNormalFit:
         ref = scipy.stats.lognorm.sf(xs, s=fit.sigma, scale=math.exp(fit.mu))
         assert np.allclose(fit.survival(xs), ref)
 
+    def test_survival_matches_scipy_to_rounding(self):
+        rng = np.random.default_rng(99)
+        fit = fit_lognormal(EmpiricalSample.from_values(
+            rng.lognormal(mean=-2.5, sigma=0.8, size=16)))
+        z = np.concatenate([np.linspace(-6.0, 6.0, 13), rng.uniform(-6.0, 6.0, 200)])
+        xs = np.exp(fit.mu + fit.sigma * z)
+        ref = scipy.stats.lognorm.sf(xs, s=fit.sigma, scale=math.exp(fit.mu))
+        np.testing.assert_allclose(fit.survival(xs), ref, rtol=1e-13, atol=0)
+
+    def test_survival_keeps_the_input_shape(self):
+        fit = fit_lognormal(EmpiricalSample.from_values([0.5, 1.0, 2.0, 4.0]))
+        assert np.shape(fit.survival(1.5)) == ()
+        assert fit.survival([0.5, 1.5, 3.0]).shape == (3,)
+        grid = np.array([[0.5, 1.0, 1.5], [2.0, 3.0, 4.0]])
+        surv = fit.survival(grid)
+        assert surv.shape == (2, 3)
+        assert surv[1, 0] == fit.survival(2.0)
+
 
 class TestLikelihoodRatio:
     def test_lognormal_data_favors_lognormal(self):
@@ -267,6 +285,19 @@ class TestLikelihoodRatio:
         res = likelihood_ratio_test(s, fit_lognormal(s), fit_power_law(s))
         assert res.r < 0
         assert res.favored == "power-law"
+
+    @pytest.mark.parametrize("family", ["log-normal", "power-law"])
+    def test_p_value_matches_scipy(self, family):
+        rng = np.random.default_rng(106)
+        for _ in range(10):
+            if family == "log-normal":
+                vals = rng.lognormal(mean=-1.0, sigma=0.7, size=300)
+            else:
+                vals = oracle.powerlaw_sample(rng, 2.4, 1.0, 300)
+            s = EmpiricalSample.from_values(vals)
+            res = likelihood_ratio_test(s, fit_lognormal(s), fit_power_law(s))
+            ref = scipy.special.erfc(abs(res.r) / math.sqrt(2))
+            assert res.p_value == pytest.approx(ref, rel=1e-13, abs=0)
 
     def test_identical_fits_inconclusive(self):
         rng = np.random.default_rng(103)

@@ -49,6 +49,22 @@ def test_plan_matches_itertools_reference(n):
         assert level.b_rows.tolist() == b_rows
 
 
+def test_plan_at_the_exact_limit():
+    n = 16
+    prev = 1 << np.arange(n, dtype=np.int64)
+    for level in _subsetdp.plan(n).levels:
+        s, k, masks = level.size, level.k, level.masks
+        assert len(np.unique(masks)) == len(masks) == comb(n, s)
+        assert (((masks[:, None] >> np.arange(n)) & 1).sum(axis=1) == s).all()
+        a, b = prev[level.a_rows], prev[level.b_rows]
+        assert np.array_equal(a | b, np.repeat(masks, k))
+        assert not (a & b).any()
+        assert (a & np.repeat(masks & -masks, k)).all()
+        halves = np.sort(a.reshape(-1, k), axis=1)
+        assert (np.diff(halves, axis=1) > 0).all()
+        prev = masks
+
+
 def test_plan_rejects_non_power_of_two():
     for n in (0, 3, 12):
         with pytest.raises(ValueError):
