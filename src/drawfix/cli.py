@@ -89,34 +89,26 @@ def _load_tournaments(
 ) -> tuple[DeterministicTournament, ProbabilisticTournament]:
     """Load ``--input`` in whichever of the supported formats it is in.
 
-    Recognizes probability matrices (JSON or CSV), soccer match lists and
-    tennis head-to-head lists by their leading bytes / header row.  Match
-    and head-to-head files also need ``--ranks``.
+    Soccer match lists and tennis head-to-head lists are recognized by
+    their header row and also need ``--ranks``; every other input is
+    read as a probability matrix (JSON or CSV).
     """
     path = args.input
     with open(path, encoding="utf-8-sig") as fh:
         head = fh.read(8192)
-    if head.lstrip().startswith("{"):
+    first = [cell.strip() for cell in next(csv.reader(head.splitlines()), [])]
+    if first != MATCHES_HEADER and first != H2H_HEADER:
         prob = read_prob_matrix(path)
         return prob.to_deterministic(), prob
-    first = next(csv.reader(head.splitlines()), [])
-    first = [cell.strip() for cell in first]
-    if first == MATCHES_HEADER or first == H2H_HEADER:
-        ranks_path = getattr(args, "ranks", None)
-        if not ranks_path:
-            raise ValueError("--ranks is required for match or head-to-head input")
-        ranking = read_ranks(ranks_path)
-        if first == MATCHES_HEADER:
-            det, prob = soccer_to_tournaments(
-                read_matches(path), ranking, season=getattr(args, "season", None)
-            )
-        else:
-            det, prob = tennis_to_tournaments(read_h2h(path), ranking)
-        return det, prob
-    if first and first[0] == "name":
-        prob = read_prob_matrix(path)
-        return prob.to_deterministic(), prob
-    raise ValueError(f"unrecognized input format in {path!r}")
+    ranks_path = getattr(args, "ranks", None)
+    if not ranks_path:
+        raise ValueError("--ranks is required for match or head-to-head input")
+    ranking = read_ranks(ranks_path)
+    if first == MATCHES_HEADER:
+        return soccer_to_tournaments(
+            read_matches(path), ranking, season=getattr(args, "season", None)
+        )
+    return tennis_to_tournaments(read_h2h(path), ranking)
 
 
 # ---------------------------------------------------------------------------

@@ -275,9 +275,10 @@ def tennis_to_tournaments(
 ) -> tuple[DeterministicTournament, ProbabilisticTournament]:
     """Build both tournament readings from lifetime head-to-head records.
 
-    A pair with no record (or zero meetings) counts as never met: the
-    better-ranked player is assumed to win and the probability is 0.5.
-    Records naming unranked players are rejected.
+    A pair with no record (or zero meetings) counts as never met, with
+    probability 0.5.  The deterministic reading is the probabilities'
+    ``to_deterministic()``: a tie or a pair that never met goes to the
+    better-ranked player.  Records naming unranked players are rejected.
     """
     players = ranks.to_players()
     record: dict[tuple[int, int], tuple[int, int]] = {}
@@ -294,28 +295,13 @@ def tennis_to_tournaments(
         record[key] = (rec.a_wins, rec.b_wins) if ai < bi else (rec.b_wins, rec.a_wins)
 
     n = players.n
-    beats = np.zeros((n, n), dtype=bool)
     probs = np.full((n, n), 0.5)
-    for i in range(n):
-        for j in range(i + 1, n):
-            wins_i, wins_j = record.get((i, j), (0, 0))
-            total = wins_i + wins_j
-            if total:
-                p = wins_i / total
-            else:
-                p = 0.5  # never met
-            if p != 0.5:
-                i_wins = p > 0.5
-            else:
-                i_wins = True  # tie or never met: i is ranked better
-            beats[i, j] = i_wins
-            beats[j, i] = not i_wins
-            probs[i, j] = p
-            probs[j, i] = 1.0 - p
-    return (
-        DeterministicTournament(players=players, beats=beats),
-        ProbabilisticTournament(players=players, probs=probs),
-    )
+    for (i, j), (wins_i, wins_j) in record.items():
+        if wins_i + wins_j:
+            probs[i, j] = wins_i / (wins_i + wins_j)
+            probs[j, i] = 1.0 - probs[i, j]
+    prob = ProbabilisticTournament(players=players, probs=probs)
+    return prob.to_deterministic(), prob
 
 
 def drop_player(t, player: int):
@@ -387,7 +373,9 @@ def read_prob_matrix(path) -> ProbabilisticTournament:
         return ProbabilisticTournament(players=players, probs=np.array(probs))
     rows = list(csv.reader(text.splitlines()))
     if not rows or not rows[0] or rows[0][0] != "name":
-        raise ValueError(f"{path}: unknown header for a probability matrix")
+        header = ",".join(rows[0]) if rows else ""
+        raise ValueError(f"unrecognized input format in {path!r}: header {header!r} "
+                         "is not a probability-matrix header")
     names = tuple(rows[0][1:])
     if len(rows) != len(names) + 1:
         raise ValueError(f"{path}: expected {len(names)} matrix rows")

@@ -6,9 +6,7 @@ never depend on float rounding.  For small pooled samples the p-value
 is the exact permutation probability, one lattice-path count over the
 sorted pooled sample with ties kept together; large samples use the
 asymptotic Kolmogorov distribution, which is approximate for 16-point
-samples.  Only the asymptotic KS path (pooled size above 32) imports
-scipy; importing this module, the CLI and a default ``fit`` do not
-load it.
+samples and is evaluated by two short series in ``math``.
 
 The upset-model scan scores its whole grid with an O(n^2) recurrence
 over ranks and takes an exact subset sweep only at grid points whose KS
@@ -18,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, erfc, fsum, log, pi, sqrt
+from math import comb, erfc, exp, fsum, log, pi, sqrt
 
 import numpy as np
 
@@ -132,6 +130,20 @@ def _permutation_p(pooled: list[float], na: int, nb: int, d_int: int) -> float:
     return (total - paths[na]) / total
 
 
+def _kolmogorov_sf(lam: float) -> float:
+    # Kolmogorov's limiting P(K > lam) (1933).  Each series reaches double
+    # precision within its term count on its own side of lam = 1; t * t
+    # overflows to inf, not an error, as lam approaches 0.
+    if lam <= 0.0:
+        return 1.0
+    if lam >= 1.0:
+        terms = ((-1) ** (k - 1) * exp(-2 * k * k * lam * lam) for k in range(1, 12))
+        return 2.0 * sum(terms)
+    t = pi / lam
+    terms = (exp(-(2 * k - 1) ** 2 * t * t / 8) for k in range(1, 8))
+    return 1.0 - sqrt(2 * pi) / lam * sum(terms)
+
+
 def ks_two_sample(a: EmpiricalSample, b: EmpiricalSample, method: str = "auto") -> KsResult:
     """Two-sample Kolmogorov-Smirnov test.
 
@@ -139,7 +151,8 @@ def ks_two_sample(a: EmpiricalSample, b: EmpiricalSample, method: str = "auto") 
     most 32, asymptotic otherwise), ``"permutation"``, or
     ``"asymptotic"``.  The permutation p-value is exact for any sizes
     and ties: it counts the splits of the pooled sample whose distance
-    reaches the observed one.
+    reaches the observed one.  The asymptotic p-value is Kolmogorov's
+    limiting distribution at sqrt(n_a n_b / (n_a + n_b)) * D.
     """
     av = np.array(a.values)
     bv = np.array(b.values)
@@ -151,10 +164,7 @@ def ks_two_sample(a: EmpiricalSample, b: EmpiricalSample, method: str = "auto") 
     if method == "auto":
         method = "permutation" if na + nb <= 32 else "asymptotic"
     if method == "asymptotic":
-        from scipy.special import kolmogorov
-
-        en = na * nb / (na + nb)
-        p = float(kolmogorov(sqrt(en) * d))
+        p = _kolmogorov_sf(sqrt(na * nb / (na + nb)) * d)
         return KsResult(statistic=d, p_value=min(1.0, max(0.0, p)), method="asymptotic")
     if method != "permutation":
         raise ValueError(f"unknown method: {method!r}")
@@ -169,8 +179,7 @@ class FitResult:
     ``support_min`` is the smallest sample value the fit covers (for a
     power law this equals ``xmin``); ``sample_size`` counts the covered
     values.  For the power law the density is
-    ``(alpha-1)/xmin * (x/xmin)**-alpha``; the implicit constant in the
-    ``c * x**-alpha`` reading is exposed as ``scale_constant``.
+    ``(alpha-1)/xmin * (x/xmin)**-alpha``.
     """
 
     family: str
@@ -181,12 +190,6 @@ class FitResult:
     xmin: float | None = None
     mu: float | None = None
     sigma: float | None = None
-
-    @property
-    def scale_constant(self) -> float:
-        if self.family != "power-law":
-            raise ValueError("scale_constant is defined for power-law fits only")
-        return (self.alpha - 1) * self.xmin ** (self.alpha - 1)
 
     def logpdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -431,6 +431,54 @@ def test_default_fit_leaves_scipy_unloaded():
     assert out.stdout.splitlines()[-1] == "0 False"
 
 
+# Run in a fresh process where every scipy import fails: each subcommand
+# on the fixtures, then an asymptotic KS test (pooled size 70).
+_WITHOUT_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is blocked: " + name)
+
+sys.meta_path.insert(0, NoScipy())
+
+import numpy as np
+from drawfix import EmpiricalSample, ks_two_sample
+from drawfix.cli import main
+
+mini = ["--input", "data/mini_matches.csv", "--ranks", "data/mini_ranks.csv"]
+tennis = ["--input", "data/tennis_h2h.csv", "--ranks", "data/tennis_ranks.csv"]
+cr8 = sys.argv[1]
+runs = [
+    ["gen-cr", "--players", "8", "--upset-prob", "0.4", "--output", cr8],
+    ["fix", *mini, "--target", "Aldgate Owls"],
+    *(["count", *mini, "--stats", s] for s in ("none", "first", "all")),
+    *(["winprob", *mini, "--mode", m, "--samples", "2000"]
+      for m in ("exact", "per-draw-exact", "full-simulation")),
+    ["scan", *mini, "--step", "0.1"],
+    ["fit", *mini],
+    ["fit", "--input", cr8, "--scan-xmin"],
+    ["kings", *tennis],
+]
+codes = [main(argv) for argv in runs]
+rng = np.random.default_rng(3)
+res = ks_two_sample(EmpiricalSample.from_values(rng.random(40)),
+                    EmpiricalSample.from_values(rng.random(30) + 0.2))
+print("exit codes", *codes)
+print(res.method, 0.0 <= res.p_value <= 1.0, "scipy" in sys.modules)
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    out = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path / "cr8.json")],
+        env=_cli_env(), cwd=DATA.parent, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-2:] == [
+        "exit codes" + " 0" * 12, "asymptotic True False"], out.stdout
+
+
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
 def test_cli_import_keeps_blas_on_one_thread(preset, expected):
     env = _cli_env()

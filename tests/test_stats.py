@@ -147,6 +147,24 @@ class TestKsAsymptotic:
         ref = scipy.stats.ks_2samp(a, b, method="asymp")
         assert res.p_value == pytest.approx(ref.pvalue, abs=0.02)
 
+    def test_series_matches_scipy(self):
+        # both sides of the switch between the two series at lam = 1
+        switch = [1 - 1e-12, 1 - 1e-15, 1.0, 1 + 1e-15, 1 + 1e-12]
+        lams = np.concatenate([np.linspace(0.001, 9.0, 4500), switch])
+        got = np.array([stats._kolmogorov_sf(float(x)) for x in lams])
+        want = scipy.special.kolmogorov(lams)
+        assert np.all(np.abs(got - want) <= 5e-15)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+    def test_series_bounds(self):
+        assert stats._kolmogorov_sf(0.0) == 1.0
+        assert stats._kolmogorov_sf(-1.0) == 1.0
+        assert stats._kolmogorov_sf(1e-300) == 1.0
+        lams = np.arange(19.0, 31.0, 0.01)
+        underflow = lams[scipy.special.kolmogorov(lams) == 0.0]
+        assert underflow.size > 1000
+        assert all(stats._kolmogorov_sf(float(x)) == 0.0 for x in underflow)
+
     def test_auto_switches_on_pooled_size(self):
         rng = np.random.default_rng(88)
         small_a = EmpiricalSample.from_values(rng.random(16))
