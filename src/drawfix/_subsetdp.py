@@ -4,16 +4,21 @@ A sub-bracket over a player subset S splits into two halves; to count
 each unordered split once, the half containing min(S) is always listed
 first.  The plan below enumerates, level by level (|S| = 2, 4, ..., n),
 every subset together with its halvings, as row indices into the
-previous level's table.  Each level is built with numpy: the subsets of
-a level come from one member array, every parent shares one halving
-position pattern (so all A halves are one product of the member bits
-with a 0/1 selection matrix), and a dense ``2**n`` array maps a half's
-bitmask to its row in the previous level.
+previous level's table.  No level at n <= 16 has more than C(16, 8) =
+12,870 subsets, so the row indices are uint16: about 2 MB at n = 16.
+Each level is built with numpy from int32 member bits, without a
+full-level float or int64 temporary: every parent shares one halving
+position pattern, so each A-half mask starts from the subset minimum's
+bit and adds the selected member columns, and the same array then turns
+into the B-half masks in place.  A dense ``2**n`` uint16 array maps a
+half's bitmask to its row in the previous level.
 
 Sweeps over the plan run level by level in blocks of whole parent
 subsets (about ``_BLOCK_ROWS`` halving rows each), writing into a
 preallocated level table, so temporaries stay a few megabytes at n = 16
-instead of the full |S| = 8 level.  The same block loop serves three
+instead of the full |S| = 8 level.  Each block widens its slice of row
+indices to intp before it gathers, which keeps numpy's fancy indexing
+off its casting path.  The same block loop serves three
 recurrences: :func:`sweep` (float64 weights), :func:`winner_masks`
 (packed bitmasks of the players who can win each sub-bracket) and
 :func:`choice_points` (the effort of enumerating every winning draw).
@@ -83,7 +88,7 @@ def _combinations(pool: int, size: int) -> np.ndarray:
     """Every ``size``-subset of range(pool) in lexicographic order, one per row."""
     count = comb(pool, size)
     flat = itertools.chain.from_iterable(itertools.combinations(range(pool), size))
-    return np.fromiter(flat, dtype=np.int64, count=count * size).reshape(count, size)
+    return np.fromiter(flat, dtype=np.int32, count=count * size).reshape(count, size)
 
 
 @lru_cache(maxsize=None)
@@ -92,30 +97,26 @@ def plan(n: int) -> Plan:
     levels = []
     # row[mask] is the mask's row in its own level's table; levels hold
     # disjoint subset sizes, so one array serves them all.
-    row = np.zeros(1 << n, dtype=np.intp)
+    row = np.zeros(1 << n, dtype=np.uint16)
     row[1 << np.arange(n)] = np.arange(n)
     size = 2
     while size <= n:
-        half = size // 2
-        bits = np.left_shift(1, _combinations(n, size))
-        masks = bits.sum(axis=1)
-        # select[p, j] is 1 when member position p goes into half A of
-        # halving j; position 0 (the subset's minimum) always does.  Masks
-        # stay below 2^16, so the float64 product is exact.
-        rest = _combinations(size - 1, half - 1) + 1
-        select = np.zeros((size, len(rest)))
-        select[0] = 1.0
-        select[rest, np.arange(len(rest))[:, None]] = 1.0
-        amasks = (bits.astype(float) @ select).astype(np.int64)
-        bmasks = masks[:, None] - amasks
+        # Masks stay below 2^16, so int32 member bits hold them exactly.
+        bits = np.left_shift(np.int32(1), _combinations(n, size))
+        masks = bits.sum(axis=1, dtype=np.int32)
+        if len(masks) > 1 << 16:
+            raise RuntimeError("a plan level outgrew its 16-bit rows; this is a bug")
+        # Row j of rest holds the member positions that join position 0
+        # (the subset's minimum) in half A of halving j.
+        rest = _combinations(size - 1, size // 2 - 1) + 1
+        halves = np.repeat(bits[:, :1], len(rest), axis=1)
+        for col in rest.T:
+            halves += bits[:, col]
+        a_rows = row[halves.ravel()]
+        np.subtract(masks[:, None], halves, out=halves)
         levels.append(
-            Level(
-                size=size,
-                masks=masks,
-                k=len(rest),
-                a_rows=row[amasks.ravel()],
-                b_rows=row[bmasks.ravel()],
-            )
+            Level(size=size, masks=masks.astype(np.int64), k=len(rest), a_rows=a_rows,
+                  b_rows=row[halves.ravel()])
         )
         row[masks] = np.arange(len(masks))
         size *= 2
@@ -134,8 +135,10 @@ def _levels(p: Plan, table: np.ndarray, combine):
         out = np.empty((len(level.masks),) + table.shape[1:], dtype=table.dtype)
         for start in range(0, len(out), step):
             rows = slice(start * k, (start + step) * k)
+            # Gathering with intp indices skips numpy's casting path.
             out[start:start + step] = combine(
-                table[level.a_rows[rows]], table[level.b_rows[rows]], k
+                table[level.a_rows[rows].astype(np.intp)],
+                table[level.b_rows[rows].astype(np.intp)], k
             )
         table = out
         yield level, table
@@ -175,7 +178,13 @@ def winner_masks(n: int, beats: np.ndarray) -> list[int]:
         lose[1 << j:2 << j] = lose[:1 << j] | beaten_by[j]
 
     def combine(wa, wb, k):
-        contrib = (wa & lose[wb]) | (wb & lose[wa])
+        # (wa & lose[wb]) | (wb & lose[wa]), in place in the two gathers:
+        # fewer block temporaries pay for widening the row indices.
+        contrib = lose[wb]
+        contrib &= wa
+        other = lose[wa]
+        other &= wb
+        contrib |= other
         return np.bitwise_or.reduce(contrib.reshape(-1, k), axis=1)
 
     singles = 1 << np.arange(n, dtype=np.int64)

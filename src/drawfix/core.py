@@ -39,7 +39,7 @@ class ResourceLimitError(RuntimeError):
 
 # The exact subset-table methods (counting, search pruning, draw-uniform
 # win probabilities) materialise values for every power-of-two-sized
-# player subset.  At 16 players the plan's row indices take about 8 MB,
+# player subset.  At 16 players the plan's row indices take about 2 MB,
 # the dense 2**16 mask tables 0.5 MB each and a blocked sweep a few MB of
 # temporaries; at 32 players the |S| = 16 level alone has 6e8 subsets.
 MAX_EXACT_PLAYERS = 16

@@ -76,12 +76,18 @@ class EmpiricalSample:
         return len(self.values)
 
 
+def _tie_ends(vals: np.ndarray) -> np.ndarray:
+    # Index of the last entry of each run of equal values in sorted vals;
+    # np.unique would load numpy.ma on first use.
+    return np.flatnonzero(np.append(vals[1:] != vals[:-1], True))
+
+
 def ecdf_points(s: EmpiricalSample) -> list[tuple[float, float]]:
     """Step points (x, F(x)) of the empirical CDF, F right-continuous."""
     vals = np.array(s.values)
-    xs = np.unique(vals)
-    f = np.searchsorted(vals, xs, side="right") / vals.size
-    return list(zip(xs.tolist(), f.tolist()))
+    ends = _tie_ends(vals)
+    f = (ends + 1) / vals.size
+    return list(zip(vals[ends].tolist(), f.tolist()))
 
 
 def ccdf_points(s: EmpiricalSample) -> list[tuple[float, float]]:
@@ -245,7 +251,7 @@ def fit_power_law(
         if xmin is not None:
             raise ValueError("give either xmin or scan=True, not both")
         best = None
-        for cand in np.unique(vals)[:-1]:
+        for cand in vals[_tie_ends(vals)][:-1]:
             tail = vals[vals >= cand]
             if tail.size < 2:
                 continue
@@ -370,14 +376,19 @@ MIN_SCAN_STEP = 0.001
 _RANK_PROB_TOL = 1e-9
 
 
-# The exact sweep for one grid point whose KS result the recurrence's
-# rounding could change.  One scan has at most 500 grid points and this
-# cache holds that many, so scans with different steps in one process
-# cannot grow it without bound.
+# The exact model sample for one grid point whose KS result the
+# recurrence's rounding could change.  One scan has at most 500 grid
+# points and this cache holds that many, so scans with different steps
+# in one process cannot grow it without bound.
 @lru_cache(maxsize=round(0.5 / MIN_SCAN_STEP))
 def _cr_win_prob_sample(n: int, upset_prob: float) -> EmpiricalSample:
-    vec = exact_uniform_win_probs(generate_cr(CrParams(n, upset_prob)))
-    return EmpiricalSample.from_values(vec.entries, label=f"cr-{upset_prob:g}")
+    if upset_prob == 0.5:
+        # Every match is a coin flip, so by symmetry every player wins with
+        # probability 1/n; the exact sweep gives that very float.
+        entries = (1.0 / n,) * n
+    else:
+        entries = exact_uniform_win_probs(generate_cr(CrParams(n, upset_prob))).entries
+    return EmpiricalSample.from_values(entries, label=f"cr-{upset_prob:g}")
 
 
 def _cr_rank_probs(n: int, us: np.ndarray) -> np.ndarray:
@@ -452,9 +463,10 @@ def scan_cr(
 
     The model vectors come from an O(n^2) recurrence over ranks that
     scores the whole grid without a subset sweep; a grid point whose KS
-    result its rounding could change takes its own exact sweep instead
-    (at u = 1/2 every entry ties), so the result equals that of one
-    exact sweep per grid point.
+    result its rounding could change takes its own exact sweep instead,
+    so the result equals that of one exact sweep per grid point.  At
+    u = 1/2 every entry ties, and symmetry gives the exact vector, n
+    entries of 1/n, without a sweep.
 
     ``reference_avg_upset`` is carried through to the report; pass the
     value from :func:`drawfix.crmodel.average_upset_probability` when

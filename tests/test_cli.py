@@ -420,15 +420,25 @@ def test_cli_import_leaves_thread_pool_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_default_fit_leaves_scipy_unloaded():
-    env = _cli_env()
+def _default_fit_loads(module):
+    """Run a default ``fit`` in a fresh process; report its exit code and
+    whether ``module`` was imported."""
     code = ("import sys, drawfix.cli; "
             "rc = drawfix.cli.main(['fit', '--input', 'data/mini_matches.csv', "
             "'--ranks', 'data/mini_ranks.csv']); "
-            "print(rc, 'scipy' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+            f"print(rc, {module!r} in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=_cli_env(), check=True,
                          cwd=DATA.parent, capture_output=True, text=True, timeout=60)
-    assert out.stdout.splitlines()[-1] == "0 False"
+    return out.stdout.splitlines()[-1]
+
+
+def test_default_fit_leaves_scipy_unloaded():
+    assert _default_fit_loads("scipy") == "0 False"
+
+
+def test_default_fit_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on first use, 9-14 ms of a cold process
+    assert _default_fit_loads("numpy.ma") == "0 False"
 
 
 # Run in a fresh process where every scipy import fails: each subcommand

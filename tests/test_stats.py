@@ -480,12 +480,19 @@ class TestScanCrMatchesDirectSweeps:
 
         soccer = _soccer_sample()
         monkeypatch.setattr(stats, "exact_uniform_win_probs", counted)
-        for step, most in ((0.1, 1), (0.01, 1), (0.001, 4)):
+        for step, most in ((0.1, 0), (0.01, 0), (0.001, 3)):
             _cr_win_prob_sample.cache_clear()
             calls.clear()
             scan_cr(soccer, 16, step=step)
-            # u = 1/2 ties every model entry, so it is always swept
-            assert 1 <= len(calls) <= most
+            # u = 1/2 ties every model entry, but symmetry gives it unswept
+            assert len(calls) <= most
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+    def test_coin_flip_sample_is_the_exact_sweep(self, n):
+        _cr_win_prob_sample.cache_clear()
+        want = exact_uniform_win_probs(generate_cr(CrParams(n, 0.5))).entries
+        got = _cr_win_prob_sample(n, 0.5).values
+        assert [v.hex() for v in got] == [v.hex() for v in sorted(want)]
 
 
 class TestCrRankProbs:

@@ -43,6 +43,7 @@ def test_plan_matches_itertools_reference(n):
     assert len(levels) == len(expected)
     for level, (masks, k, a_rows, b_rows) in zip(levels, expected):
         assert level.masks.dtype == np.int64
+        assert level.a_rows.dtype == level.b_rows.dtype == np.uint16
         assert level.masks.tolist() == masks
         assert level.k == k
         assert level.a_rows.tolist() == a_rows
@@ -54,6 +55,7 @@ def test_plan_at_the_exact_limit():
     prev = 1 << np.arange(n, dtype=np.int64)
     for level in _subsetdp.plan(n).levels:
         s, k, masks = level.size, level.k, level.masks
+        assert level.a_rows.dtype == level.b_rows.dtype == np.uint16
         assert len(np.unique(masks)) == len(masks) == comb(n, s)
         assert (((masks[:, None] >> np.arange(n)) & 1).sum(axis=1) == s).all()
         a, b = prev[level.a_rows], prev[level.b_rows]
@@ -91,18 +93,38 @@ def test_winner_masks_match_oracle(n):
             assert _subsetdp.bit_indices(wm[mask]) == sorted(winners)
 
 
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cold_plan_is_compact():
+    # 16-bit rows keep 1.9 MiB of arrays at the exact limit (7.2 MiB as
+    # int64), and the build holds no full-level float or int64 temporary.
+    _subsetdp.plan.cache_clear()
+    p, peak = _traced_peak(lambda: _subsetdp.plan(16))
+    kept = sum(lv.masks.nbytes + lv.a_rows.nbytes + lv.b_rows.nbytes for lv in p.levels)
+    assert peak < 6 * 2**20
+    assert kept <= 2 * 2**20
+
+
+def test_winner_masks_and_choice_points_are_blocked():
+    beats = random_deterministic(16, np.random.default_rng(45)).beats
+    _subsetdp.plan(16)
+    assert _traced_peak(lambda: _subsetdp.winner_masks(16, beats))[1] < 4 * 2**20
+    assert _traced_peak(lambda: _subsetdp.choice_points(16, beats))[1] < 24 * 2**20
+
+
 def test_sweep_is_blocked():
     # A warm sweep at the exact limit keeps its temporaries to a few
     # blocks instead of the full |S| = 8 level (about 230 MB unblocked).
     t = random_probabilistic(16, np.random.default_rng(44))
     _subsetdp.sweep(16, t.probs)
-    tracemalloc.start()
-    try:
-        _subsetdp.sweep(16, t.probs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert _traced_peak(lambda: _subsetdp.sweep(16, t.probs))[1] < 32 * 2**20
 
 
 def test_cli_import_builds_no_plan():
