@@ -10,10 +10,12 @@ fit       heavy-tail analysis of the win probability distribution
 gen-cr    write a synthetic rank-ordered probability matrix
 kings     list the kings and the beats-everyone winner, if any
 
-Every subcommand prints a short human-readable report to stdout.  With
-``--output`` it also writes a machine-readable file (JSON or CSV via
-``--format``).  Machine outputs never contain wall-clock timings, so a
-rerun with the same inputs and seed reproduces them byte for byte.
+``--input`` takes any file that ``drawfix.ingest.read_tournaments``
+reads.  Every subcommand prints a short human-readable report to
+stdout.  With ``--output`` it also writes a machine-readable file (JSON
+or CSV via ``--format``).  Machine outputs never contain wall-clock
+timings, so a rerun with the same inputs and seed reproduces them byte
+for byte.
 
 Exit codes: 0 success, 2 bad input, 3 negative result (e.g. no winning
 draw exists), 4 instance too large for exact analysis, 141 the reader of
@@ -23,32 +25,14 @@ the output closed it early.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 import time
 
 from . import __version__
-from .core import (
-    MAX_MODEL_PLAYERS,
-    DeterministicTournament,
-    ProbabilisticTournament,
-    ResourceLimitError,
-)
+from .core import MAX_MODEL_PLAYERS, ResourceLimitError
 from .crmodel import CrParams, average_upset_probability, generate_cr
-from .ingest import (
-    H2H_HEADER,
-    MATCHES_HEADER,
-    _write_rows,
-    read_h2h,
-    read_matches,
-    read_prob_matrix,
-    read_ranks,
-    soccer_to_tournaments,
-    tennis_to_tournaments,
-    write_prob_matrix,
-)
+from .ingest import read_tournaments, write_csv, write_json, write_prob_matrix
 from .solver import (
     condorcet_winner,
     count_winning_draws,
@@ -81,37 +65,6 @@ EXIT_BROKEN_PIPE = 141
 
 
 # ---------------------------------------------------------------------------
-# input loading
-
-
-def _load_tournaments(
-    args: argparse.Namespace,
-) -> tuple[DeterministicTournament, ProbabilisticTournament]:
-    """Load ``--input`` in whichever of the supported formats it is in.
-
-    Soccer match lists and tennis head-to-head lists are recognized by
-    their header row and also need ``--ranks``; every other input is
-    read as a probability matrix (JSON or CSV).
-    """
-    path = args.input
-    with open(path, encoding="utf-8-sig") as fh:
-        head = fh.read(8192)
-    first = [cell.strip() for cell in next(csv.reader(head.splitlines()), [])]
-    if first != MATCHES_HEADER and first != H2H_HEADER:
-        prob = read_prob_matrix(path)
-        return prob.to_deterministic(), prob
-    ranks_path = getattr(args, "ranks", None)
-    if not ranks_path:
-        raise ValueError("--ranks is required for match or head-to-head input")
-    ranking = read_ranks(ranks_path)
-    if first == MATCHES_HEADER:
-        return soccer_to_tournaments(
-            read_matches(path), ranking, season=getattr(args, "season", None)
-        )
-    return tennis_to_tournaments(read_h2h(path), ranking)
-
-
-# ---------------------------------------------------------------------------
 # output helpers
 
 
@@ -134,20 +87,19 @@ def _meta(args: argparse.Namespace) -> dict:
 
 def _write_machine(
     args: argparse.Namespace,
-    doc: dict,
+    data: dict,
     csv_header: list[str],
     csv_rows: list[list],
 ) -> None:
-    output = getattr(args, "output", None)
-    if not output:
+    """Write ``--output``: ``data`` under the run metadata as JSON, or
+    the CSV rows with None as an empty field."""
+    if not args.output:
         return
     if args.format == "json":
-        with open(output, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(args.output, {**_meta(args), "data": data})
     else:
-        _write_rows(output, csv_header,
-                    (["" if v is None else v for v in row] for row in csv_rows))
+        write_csv(args.output, csv_header,
+                  (["" if v is None else v for v in row] for row in csv_rows))
 
 
 def _fmt_opt(value, fmt: str = "") -> str:
@@ -161,7 +113,7 @@ def _fmt_opt(value, fmt: str = "") -> str:
 
 
 def cmd_fix(args: argparse.Namespace) -> int:
-    det, _ = _load_tournaments(args)
+    det, _ = read_tournaments(args.input, args.ranks, args.season)
     target = det.players.id_of(args.target)
     start = time.perf_counter()
     result = find_winning_draw(det, target)
@@ -175,8 +127,7 @@ def cmd_fix(args: argparse.Namespace) -> int:
         print(f"no draw makes {args.target} the champion")
     print(f"choice points: {result.stats.choice_points}")
     print(f"elapsed: {elapsed:.3f}s")
-    doc = dict(_meta(args))
-    doc["data"] = {
+    data = {
         "target": args.target,
         "found": found,
         "draw": list(result.draw.leaves) if found else None,
@@ -185,7 +136,7 @@ def cmd_fix(args: argparse.Namespace) -> int:
     }
     _write_machine(
         args,
-        doc,
+        data,
         ["target", "found", "bracket", "choice_points"],
         [[args.target, int(found), "" if bracket is None else bracket,
           result.stats.choice_points]],
@@ -194,7 +145,7 @@ def cmd_fix(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    det, _ = _load_tournaments(args)
+    det, _ = read_tournaments(args.input, args.ranks, args.season)
     players = det.players
     start = time.perf_counter()
     report = count_winning_draws(det)
@@ -228,11 +179,10 @@ def cmd_count(args: argparse.Namespace) -> int:
             f"{r['share'] * 100:>10.6f}  {_fmt_opt(r['nodes_first']):>9}  "
             f"{_fmt_opt(r['nodes_all']):>{all_w}}"
         )
-    doc = dict(_meta(args))
-    doc["data"] = {"total_draws": report.total_draws, "players": rows}
+    data = {"total_draws": report.total_draws, "players": rows}
     _write_machine(
         args,
-        doc,
+        data,
         ["rank", "name", "count", "share", "nodes_first", "nodes_all"],
         [
             [r["rank"], r["name"], r["count"], r["share"], r["nodes_first"],
@@ -244,7 +194,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_winprob(args: argparse.Namespace) -> int:
-    _, prob = _load_tournaments(args)
+    _, prob = read_tournaments(args.input, args.ranks, args.season)
     players = prob.players
     start = time.perf_counter()
     if args.mode == "exact":
@@ -271,15 +221,14 @@ def cmd_winprob(args: argparse.Namespace) -> int:
     print(f"{'rank':>4}  {'name':<{name_w}}  {'win prob %':>12}")
     for r in rows:
         print(f"{r['rank']:>4}  {r['name']:<{name_w}}  {r['win_prob'] * 100:>12.6f}")
-    doc = dict(_meta(args))
-    doc["data"] = {
+    data = {
         "method": vector.method,
         "samples": vector.samples,
         "players": rows,
     }
     _write_machine(
         args,
-        doc,
+        data,
         ["rank", "name", "win_prob"],
         [[r["rank"], r["name"], r["win_prob"]] for r in rows],
     )
@@ -287,7 +236,7 @@ def cmd_winprob(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    _, prob = _load_tournaments(args)
+    _, prob = read_tournaments(args.input, args.ranks, args.season)
     reference = EmpiricalSample.from_win_probs(
         exact_uniform_win_probs(prob), label="reference"
     )
@@ -330,8 +279,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         }
         for s in result.steps
     ]
-    doc = dict(_meta(args))
-    doc["data"] = {
+    data = {
         "avg_upset": avg_upset,
         "min_accepted": result.min_accepted,
         "max_accepted": result.max_accepted,
@@ -339,7 +287,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     }
     _write_machine(
         args,
-        doc,
+        data,
         ["upset_prob", "statistic", "p_value", "accepted"],
         [[s["upset_prob"], s["statistic"], s["p_value"], int(s["accepted"])]
          for s in steps],
@@ -348,7 +296,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    _, prob = _load_tournaments(args)
+    _, prob = read_tournaments(args.input, args.ranks, args.season)
     sample = EmpiricalSample.from_win_probs(
         exact_uniform_win_probs(prob), label="win probabilities"
     )
@@ -376,8 +324,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         [float(x), float(e), float(cl), float(cp)]
         for (x, e), cl, cp in zip(points, curve_ln, curve_pl)
     ]
-    doc = dict(_meta(args))
-    doc["data"] = {
+    data = {
         "lognormal": {
             "mu": lognormal.mu,
             "sigma": lognormal.sigma,
@@ -398,7 +345,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     }
     _write_machine(
         args,
-        doc,
+        data,
         ["x", "empirical_ccdf", "lognormal_ccdf", "powerlaw_ccdf"],
         ccdf_rows,
     )
@@ -417,7 +364,7 @@ def cmd_gen_cr(args: argparse.Namespace) -> int:
 
 
 def cmd_kings(args: argparse.Namespace) -> int:
-    det, _ = _load_tournaments(args)
+    det, _ = read_tournaments(args.input, args.ranks, args.season)
     players = det.players
     king_ids = kings(det)
     winner = condorcet_winner(det)
@@ -427,14 +374,13 @@ def cmd_kings(args: argparse.Namespace) -> int:
         print("beats-everyone winner: none")
     else:
         print(f"beats-everyone winner: {players.names[winner]}")
-    doc = dict(_meta(args))
-    doc["data"] = {
+    data = {
         "kings": king_names,
         "condorcet_winner": None if winner is None else players.names[winner],
     }
     _write_machine(
         args,
-        doc,
+        data,
         ["name", "is_condorcet_winner"],
         [[name, int(players.id_of(name) == winner)] for name in king_names],
     )

@@ -22,7 +22,6 @@ __all__ = [
     "ResourceLimitError",
     "MAX_EXACT_PLAYERS",
     "MAX_MODEL_PLAYERS",
-    "as_rng",
     "num_draws",
     "canonicalize",
     "random_draw",

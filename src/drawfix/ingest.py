@@ -1,5 +1,10 @@
 """Turning league results into pairwise tournaments.
 
+This module decides what an input file is: ``read_tournaments`` tells
+the formats apart by their header row and returns both tournament
+readings of any of them.  Every reader refuses a file larger than
+MAX_INPUT_BYTES before reading it.
+
 File formats (UTF-8 CSV, a leading byte-order mark is ignored, header
 row required, names quoted on output):
 
@@ -22,7 +27,9 @@ better-ranked player (probability 0.5 when never met).
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -32,9 +39,6 @@ import numpy as np
 from .core import DeterministicTournament, PlayerTable, ProbabilisticTournament
 
 __all__ = [
-    "MATCHES_HEADER",
-    "H2H_HEADER",
-    "RANKS_HEADER",
     "MatchRecord",
     "HeadToHeadRecord",
     "RankingTable",
@@ -47,6 +51,7 @@ __all__ = [
     "write_ranks",
     "read_prob_matrix",
     "write_prob_matrix",
+    "read_tournaments",
     "soccer_to_tournaments",
     "tennis_to_tournaments",
     "drop_player",
@@ -57,6 +62,13 @@ H2H_HEADER = ["player_a", "player_b", "a_wins", "b_wins"]
 RANKS_HEADER = ["rank", "name"]
 
 PROB_MATRIX_FORMAT = "drawfix-probmatrix/1"
+
+# The largest input file any reader accepts, ten times the largest field
+# the model methods take: a 64-player JSON matrix of full-precision
+# floats is about 0.1 MB.  Parsing a CSV of short cells holds up to about
+# 28 bytes per input byte, so a file at the cap adds about 30 MB to a
+# process's peak, where a 4 MB matrix used to add 115 MB.
+MAX_INPUT_BYTES = 1 << 20
 
 
 class IncompleteDataError(ValueError):
@@ -115,9 +127,26 @@ def _int_field(value: str, line: int, column: str) -> int:
     return int(value)
 
 
+def _read_text(path) -> str:
+    """The decoded text of an input file, refused unread above the cap."""
+    with open(path, "rb") as fh:
+        # A pipe reports size 0; the bounded read covers it.
+        too_big = os.fstat(fh.fileno()).st_size > MAX_INPUT_BYTES
+        data = b"" if too_big else fh.read(MAX_INPUT_BYTES + 1)
+    if too_big or len(data) > MAX_INPUT_BYTES:
+        raise ValueError(
+            f"{path}: input files are limited to {MAX_INPUT_BYTES:,} bytes (1 MiB)"
+        )
+    return data.decode("utf-8-sig")
+
+
+def _csv_reader(text: str):
+    # newline="" as for a CSV file: quoted fields keep their line breaks.
+    return csv.reader(io.StringIO(text, newline=""))
+
+
 def _read_rows(path, header: list[str]) -> list[tuple[int, list[str]]]:
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(_csv_reader(_read_text(path)))
     if not rows:
         raise ValueError(f"{path}: empty file")
     if rows[0] != header:
@@ -174,7 +203,15 @@ def read_ranks(path) -> RankingTable:
     return RankingTable(names=tuple(seen[r] for r in sorted(seen)))
 
 
-def _write_rows(path, header: list[str], rows: Iterable[tuple]) -> None:
+def write_json(path, doc: dict) -> None:
+    """Write indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def write_csv(path, header: list[str], rows: Iterable[tuple]) -> None:
+    """Write a bare header line, then rows with every string quoted."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         writer = csv.writer(fh, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
@@ -182,7 +219,7 @@ def _write_rows(path, header: list[str], rows: Iterable[tuple]) -> None:
 
 
 def write_matches(path, records: Iterable[MatchRecord]) -> None:
-    _write_rows(
+    write_csv(
         path,
         MATCHES_HEADER,
         ((r.season, r.home, r.away, r.home_goals, r.away_goals) for r in records),
@@ -190,7 +227,7 @@ def write_matches(path, records: Iterable[MatchRecord]) -> None:
 
 
 def write_h2h(path, records: Iterable[HeadToHeadRecord]) -> None:
-    _write_rows(
+    write_csv(
         path,
         H2H_HEADER,
         ((r.player_a, r.player_b, r.a_wins, r.b_wins) for r in records),
@@ -198,7 +235,7 @@ def write_h2h(path, records: Iterable[HeadToHeadRecord]) -> None:
 
 
 def write_ranks(path, ranking: RankingTable) -> None:
-    _write_rows(
+    write_csv(
         path, RANKS_HEADER, ((i + 1, name) for i, name in enumerate(ranking.names))
     )
 
@@ -335,9 +372,7 @@ def write_prob_matrix(path, t: ProbabilisticTournament, fmt: str = "json") -> No
             "ranks": list(t.players.ranks),
             "probs": [[float(x) for x in row] for row in t.probs],
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(path, doc)
         return
     if fmt != "csv":
         raise ValueError(f"unknown matrix format: {fmt!r}")
@@ -351,8 +386,7 @@ def write_prob_matrix(path, t: ProbabilisticTournament, fmt: str = "json") -> No
 
 
 def read_prob_matrix(path) -> ProbabilisticTournament:
-    with open(path, encoding="utf-8-sig") as fh:
-        text = fh.read()
+    text = _read_text(path)
     head = text.lstrip()[:1]
     if head == "{":
         doc = json.loads(text)
@@ -386,3 +420,26 @@ def read_prob_matrix(path) -> ProbabilisticTournament:
         probs[i] = [float(x) for x in row[1:]]
     players = PlayerTable.from_ordered(names)
     return ProbabilisticTournament(players=players, probs=probs)
+
+
+def read_tournaments(
+    path, ranks=None, season: str | None = None
+) -> tuple[DeterministicTournament, ProbabilisticTournament]:
+    """Both tournament readings of an input file in any supported format.
+
+    Match lists and head-to-head lists are told apart by their header
+    row, compared cell by cell after stripping blanks, and need
+    ``ranks``, the path of a ranks file; ``season`` selects one season
+    of a match list.  Any other file is read as a probability matrix
+    (JSON or CSV), whose deterministic reading is ``to_deterministic()``.
+    """
+    header = [cell.strip() for cell in next(_csv_reader(_read_text(path)), [])]
+    if header not in (MATCHES_HEADER, H2H_HEADER):
+        prob = read_prob_matrix(path)
+        return prob.to_deterministic(), prob
+    if not ranks:
+        raise ValueError("--ranks is required for match or head-to-head input")
+    ranking = read_ranks(ranks)
+    if header == MATCHES_HEADER:
+        return soccer_to_tournaments(read_matches(path), ranking, season=season)
+    return tennis_to_tournaments(read_h2h(path), ranking)

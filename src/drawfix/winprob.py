@@ -86,12 +86,13 @@ def _per_draw_exact_batch(probs, n, b, gen) -> np.ndarray:
 
 
 def _full_simulation_batch(probs, n, b, gen) -> np.ndarray:
-    perms = _batch_permutations(n, b, gen)
-    alive = perms
+    alive = _batch_permutations(n, b, gen)
+    flat = probs.ravel()
     while alive.shape[1] > 1:
         a, c = alive[:, 0::2], alive[:, 1::2]
         u = gen.random(a.shape)
-        alive = np.where(u < probs[a, c], a, c)
+        # one flat take reads the same values as probs[a, c], faster
+        alive = np.where(u < flat.take(a * n + c), a, c)
     return np.bincount(alive[:, 0], minlength=n).astype(float)
 
 

@@ -341,6 +341,17 @@ class TestDatasetInputs:
     def test_missing_file(self, tmp_path):
         assert main(["count", "--input", str(tmp_path / "nope.csv")]) == 2
 
+    @pytest.mark.parametrize("command", ["count", "kings"])
+    def test_oversized_file_exit_two(self, tmp_path, capsys, command):
+        # A 4.2 MB CSV matrix of 1,024 players is refused before it is parsed.
+        n = 1024
+        row = ",".join(["0.5"] * n)
+        path = tmp_path / "m1024.csv"
+        path.write_text("name," + ",".join(f"p{i}" for i in range(n)) + "\n"
+                        + "".join(f"p{i},{row}\n" for i in range(n)))
+        assert main([command, "--input", str(path)]) == 2
+        assert "limited to 1,048,576 bytes" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, marked", [
         (["count", "--input", "mini_matches.csv", "--ranks", "mini_ranks.csv"],
          "mini_matches.csv"),

@@ -1,3 +1,5 @@
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from drawfix import (
     read_matches,
     read_prob_matrix,
     read_ranks,
+    read_tournaments,
     soccer_to_tournaments,
     tennis_to_tournaments,
     write_h2h,
@@ -26,6 +29,7 @@ from drawfix import (
     write_prob_matrix,
     write_ranks,
 )
+from drawfix.ingest import MAX_INPUT_BYTES
 
 DATA = Path(__file__).parent.parent / "data"
 RANKS = RankingTable(names=("A", "B", "C", "D"))
@@ -327,3 +331,77 @@ def _matrix(tmp_path, name, text):
 def test_rejected_input_classes(tmp_path, load, message):
     with pytest.raises(ValueError, match=message):
         load(tmp_path)
+
+
+class TestReadTournaments:
+    @pytest.mark.parametrize("league, n", [("mini", 8), ("soccer", 16)])
+    def test_match_list(self, league, n):
+        det, prob = read_tournaments(DATA / f"{league}_matches.csv",
+                                     DATA / f"{league}_ranks.csv")
+        expected = soccer_to_tournaments(read_matches(DATA / f"{league}_matches.csv"),
+                                         read_ranks(DATA / f"{league}_ranks.csv"))
+        assert det.n == prob.n == n
+        assert np.array_equal(det.beats, expected[0].beats)
+        assert np.array_equal(prob.probs, expected[1].probs)
+
+    def test_head_to_head_list_of_seventeen(self):
+        det, prob = read_tournaments(DATA / "tennis_h2h.csv", DATA / "tennis_ranks.csv")
+        assert det.n == prob.n == 17
+        assert np.array_equal(det.beats, prob.to_deterministic().beats)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_matrix(self, tmp_path, fmt):
+        path = tmp_path / f"m.{fmt}"
+        write_prob_matrix(path, generate_cr(CrParams(n=8, upset_prob=0.3)), fmt=fmt)
+        det, prob = read_tournaments(path)
+        assert np.array_equal(prob.probs, read_prob_matrix(path).probs)
+        assert np.array_equal(det.beats, prob.to_deterministic().beats)
+
+    def test_blank_padded_header_is_still_a_match_list(self, tmp_path):
+        # Detection strips the cells; the parser then names the exact header.
+        path = tmp_path / "m.csv"
+        path.write_text("season, home, away, home_goals, away_goals\n")
+        with pytest.raises(ValueError, match="unknown header"):
+            read_tournaments(path, DATA / "mini_ranks.csv")
+
+    def test_match_list_needs_ranks(self):
+        with pytest.raises(ValueError, match="--ranks is required"):
+            read_tournaments(DATA / "mini_matches.csv")
+
+    def test_season_is_passed_on(self):
+        with pytest.raises(ValueError, match="no matches found for season '1999'"):
+            read_tournaments(DATA / "mini_matches.csv", DATA / "mini_ranks.csv",
+                             season="1999")
+
+
+class TestInputByteCap:
+    @pytest.mark.parametrize("read", [read_ranks, read_matches, read_h2h,
+                                      read_prob_matrix, read_tournaments])
+    def test_every_reader_refuses_one_byte_over(self, tmp_path, read):
+        path = tmp_path / "big.csv"
+        path.write_bytes(b"rank,name\n1,A\n" + b"\n" * (MAX_INPUT_BYTES - 13))
+        with pytest.raises(ValueError, match="limited to 1,048,576 bytes"):
+            read(path)
+
+    def test_file_at_the_cap_loads(self, tmp_path):
+        path = tmp_path / "ranks.csv"
+        path.write_bytes(b"rank,name\n1,A\n" + b"\n" * (MAX_INPUT_BYTES - 14))
+        assert path.stat().st_size == MAX_INPUT_BYTES
+        assert read_ranks(path).names == ("A",)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_refused_above_the_cap(self, tmp_path):
+        # A pipe reports size 0, so the bounded read must catch it.
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        writer = threading.Thread(
+            target=path.write_bytes,
+            args=(b"rank,name\n1,A\n" + b"\n" * (MAX_INPUT_BYTES - 13),),
+            daemon=True)
+        writer.start()
+        try:
+            with pytest.raises(ValueError, match="limited to 1,048,576 bytes"):
+                read_ranks(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
