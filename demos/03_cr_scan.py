@@ -29,7 +29,7 @@ _, prob = soccer_to_tournaments(
     read_ranks(DATA / "soccer_ranks.csv"),
 )
 vector = exact_uniform_win_probs(prob)
-reference = EmpiricalSample.from_win_probs(vector, label="soccer season")
+reference = EmpiricalSample.from_win_probs(vector)
 avg = average_upset_probability(prob)
 
 print("win probability of each team under a uniform draw:")

@@ -237,9 +237,7 @@ def cmd_winprob(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     _, prob = read_tournaments(args.input, args.ranks, args.season)
-    reference = EmpiricalSample.from_win_probs(
-        exact_uniform_win_probs(prob), label="reference"
-    )
+    reference = EmpiricalSample.from_win_probs(exact_uniform_win_probs(prob))
     avg_upset = average_upset_probability(prob)
     start = time.perf_counter()
     result = scan_cr(
@@ -297,9 +295,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     _, prob = read_tournaments(args.input, args.ranks, args.season)
-    sample = EmpiricalSample.from_win_probs(
-        exact_uniform_win_probs(prob), label="win probabilities"
-    )
+    sample = EmpiricalSample.from_win_probs(exact_uniform_win_probs(prob))
     lognormal = fit_lognormal(sample)
     powerlaw = fit_power_law(sample, scan=args.scan_xmin)
     lrt = likelihood_ratio_test(sample, lognormal, powerlaw)
@@ -443,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     winprob.add_argument("--seed", type=int, default=0, help="sampling seed")
     winprob.add_argument("--workers", type=int, default=1,
                          help="worker threads for sampling (default 1, "
-                              f"at most {MAX_WORKERS})")
+                              f"at most {MAX_WORKERS}); changes the speed, "
+                              "never the result")
     winprob.set_defaults(func=cmd_winprob)
 
     scan = sub.add_parser("scan",

@@ -145,8 +145,8 @@ def _csv_reader(text: str):
     return csv.reader(io.StringIO(text, newline=""))
 
 
-def _read_rows(path, header: list[str]) -> list[tuple[int, list[str]]]:
-    rows = list(_csv_reader(_read_text(path)))
+def _rows(text: str, path, header: list[str]) -> list[tuple[int, list[str]]]:
+    rows = list(_csv_reader(text))
     if not rows:
         raise ValueError(f"{path}: empty file")
     if rows[0] != header:
@@ -162,9 +162,9 @@ def _read_rows(path, header: list[str]) -> list[tuple[int, list[str]]]:
     return out
 
 
-def read_matches(path) -> list[MatchRecord]:
+def _parse_matches(text: str, path) -> list[MatchRecord]:
     out = []
-    for line, (season, home, away, hg, ag) in _read_rows(path, MATCHES_HEADER):
+    for line, (season, home, away, hg, ag) in _rows(text, path, MATCHES_HEADER):
         out.append(
             MatchRecord(
                 season=season,
@@ -177,9 +177,13 @@ def read_matches(path) -> list[MatchRecord]:
     return out
 
 
-def read_h2h(path) -> list[HeadToHeadRecord]:
+def read_matches(path) -> list[MatchRecord]:
+    return _parse_matches(_read_text(path), path)
+
+
+def _parse_h2h(text: str, path) -> list[HeadToHeadRecord]:
     out = []
-    for line, (pa, pb, aw, bw) in _read_rows(path, H2H_HEADER):
+    for line, (pa, pb, aw, bw) in _rows(text, path, H2H_HEADER):
         out.append(
             HeadToHeadRecord(
                 player_a=pa,
@@ -191,9 +195,13 @@ def read_h2h(path) -> list[HeadToHeadRecord]:
     return out
 
 
+def read_h2h(path) -> list[HeadToHeadRecord]:
+    return _parse_h2h(_read_text(path), path)
+
+
 def read_ranks(path) -> RankingTable:
     seen = {}
-    for line, (rank, name) in _read_rows(path, RANKS_HEADER):
+    for line, (rank, name) in _rows(_read_text(path), path, RANKS_HEADER):
         r = _int_field(rank, line, "rank")
         if r in seen:
             raise ValueError(f"{path}: duplicate rank {r}")
@@ -385,8 +393,7 @@ def write_prob_matrix(path, t: ProbabilisticTournament, fmt: str = "json") -> No
             writer.writerow([name, *[float(x) for x in row]])
 
 
-def read_prob_matrix(path) -> ProbabilisticTournament:
-    text = _read_text(path)
+def _parse_prob_matrix(text: str, path) -> ProbabilisticTournament:
     head = text.lstrip()[:1]
     if head == "{":
         doc = json.loads(text)
@@ -422,6 +429,10 @@ def read_prob_matrix(path) -> ProbabilisticTournament:
     return ProbabilisticTournament(players=players, probs=probs)
 
 
+def read_prob_matrix(path) -> ProbabilisticTournament:
+    return _parse_prob_matrix(_read_text(path), path)
+
+
 def read_tournaments(
     path, ranks=None, season: str | None = None
 ) -> tuple[DeterministicTournament, ProbabilisticTournament]:
@@ -432,14 +443,17 @@ def read_tournaments(
     ``ranks``, the path of a ranks file; ``season`` selects one season
     of a match list.  Any other file is read as a probability matrix
     (JSON or CSV), whose deterministic reading is ``to_deterministic()``.
+    The file is read once, so a pipe works as ``path``.
     """
-    header = [cell.strip() for cell in next(_csv_reader(_read_text(path)), [])]
+    text = _read_text(path)
+    header = [cell.strip() for cell in next(_csv_reader(text), [])]
     if header not in (MATCHES_HEADER, H2H_HEADER):
-        prob = read_prob_matrix(path)
+        prob = _parse_prob_matrix(text, path)
         return prob.to_deterministic(), prob
     if not ranks:
         raise ValueError("--ranks is required for match or head-to-head input")
     ranking = read_ranks(ranks)
     if header == MATCHES_HEADER:
-        return soccer_to_tournaments(read_matches(path), ranking, season=season)
-    return tennis_to_tournaments(read_h2h(path), ranking)
+        matches = _parse_matches(text, path)
+        return soccer_to_tournaments(matches, ranking, season=season)
+    return tennis_to_tournaments(_parse_h2h(text, path), ranking)

@@ -51,7 +51,6 @@ class EmpiricalSample:
     """Positive observations, stored sorted ascending."""
 
     values: tuple[float, ...]
-    label: str = ""
 
     def __post_init__(self):
         if not self.values:
@@ -64,12 +63,12 @@ class EmpiricalSample:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_values(cls, values, label: str = "") -> "EmpiricalSample":
-        return cls(values=tuple(sorted(float(v) for v in values)), label=label)
+    def from_values(cls, values) -> "EmpiricalSample":
+        return cls(values=tuple(sorted(float(v) for v in values)))
 
     @classmethod
-    def from_win_probs(cls, v: WinProbVector, label: str = "") -> "EmpiricalSample":
-        return cls.from_values(v.entries, label=label)
+    def from_win_probs(cls, v: WinProbVector) -> "EmpiricalSample":
+        return cls.from_values(v.entries)
 
     @property
     def size(self) -> int:
@@ -388,7 +387,7 @@ def _cr_win_prob_sample(n: int, upset_prob: float) -> EmpiricalSample:
         entries = (1.0 / n,) * n
     else:
         entries = exact_uniform_win_probs(generate_cr(CrParams(n, upset_prob))).entries
-    return EmpiricalSample.from_values(entries, label=f"cr-{upset_prob:g}")
+    return EmpiricalSample.from_values(entries)
 
 
 def _cr_rank_probs(n: int, us: np.ndarray) -> np.ndarray:
@@ -506,7 +505,7 @@ def scan_cr(
         if sweep:
             sample = _cr_win_prob_sample(n, u)
         else:
-            sample = EmpiricalSample(values=tuple(values), label=f"cr-{u:g}")
+            sample = EmpiricalSample(values=tuple(values))
         ks = ks_two_sample(reference, sample)
         ok = ks.p_value >= threshold
         steps.append(ScanStep(upset_prob=u, ks=ks, accepted=ok))

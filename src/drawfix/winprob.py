@@ -27,15 +27,16 @@ from .core import (
 __all__ = ["WinProbVector", "exact_uniform_win_probs", "sample_uniform_win_probs"]
 
 # Fixed batch size: the per-batch generator streams (and therefore the
-# bit-exact result for a given seed and worker count) depend on it.
+# bit-exact result for a given seed) depend on it.
 _BATCH = 4096
 
 _MODES = ("per-draw-exact", "full-simulation")
 
 # Fixed caps on the sampler's resource cost, the same on every machine:
-# one thread per worker, and run time linear in the sample count (at
-# n = 16 on one core of a 2-vCPU machine, about 2.5 s per million
-# per-draw-exact samples and under 1 s per million full-simulation ones).
+# at most one thread per worker and per batch, and run time linear in
+# the sample count (at n = 16 on one core of a 2-vCPU machine, about
+# 2.5 s per million per-draw-exact samples and under 1 s per million
+# full-simulation ones).
 MAX_WORKERS = 64
 MAX_SAMPLES = 10_000_000
 
@@ -107,13 +108,13 @@ def sample_uniform_win_probs(
 
     ``per-draw-exact`` averages each sampled bracket's exact win vector;
     ``full-simulation`` plays every match as a Bernoulli trial.  Both
-    are unbiased; the first has lower variance.  A fixed seed and worker
-    count reproduce the estimate bit for bit (worker streams are spawned
-    deterministically and reduced in a fixed order); changing the worker
-    count changes how the sample budget is split and may move the last
-    few ulps.  ``samples`` is capped at MAX_SAMPLES, ``workers`` at
-    MAX_WORKERS and the player count at MAX_MODEL_PLAYERS; larger values
-    raise ValueError before any work starts.
+    are unbiased; the first has lower variance.  A fixed seed reproduces
+    the estimate bit for bit: every batch of _BATCH draws has its own
+    spawned stream, and ``math.fsum`` adds the batch sums exactly
+    rounded, so ``workers`` threads change the speed, never the result.
+    ``samples`` is capped at MAX_SAMPLES, ``workers`` at MAX_WORKERS and
+    the player count at MAX_MODEL_PLAYERS; larger values raise
+    ValueError before any work starts.
     """
     n = t.n
     require_model_size(n)
@@ -126,35 +127,23 @@ def sample_uniform_win_probs(
     batch = _per_draw_exact_batch if mode == "per-draw-exact" else _full_simulation_batch
 
     probs = t.probs
-    master = as_rng(rng)
-    worker_gens = master.spawn(workers)
-    share, extra = divmod(samples, workers)
-    quotas = [share + (1 if w < extra else 0) for w in range(workers)]
+    # One stream per batch, each a grandchild of the seed through a single
+    # child; the pinned and golden sampled results depend on this order.
+    gens = as_rng(rng).spawn(1)[0].spawn(-(-samples // _BATCH))
 
-    def run_worker(w: int) -> list[np.ndarray]:
-        quota = quotas[w]
-        if quota == 0:
-            return []
-        n_batches = -(-quota // _BATCH)
-        gens = worker_gens[w].spawn(n_batches)
-        out = []
-        done = 0
-        for g in gens:
-            b = min(_BATCH, quota - done)
-            out.append(batch(probs, n, b, g))
-            done += b
-        return out
+    def run_batch(k: int) -> np.ndarray:
+        return batch(probs, n, min(_BATCH, samples - k * _BATCH), gens[k])
 
+    workers = min(workers, len(gens))
     if workers == 1:
-        parts = [run_worker(0)]
+        batch_sums = list(map(run_batch, range(len(gens))))
     else:
         # Imported here: it loads logging, which no other path needs.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(run_worker, range(workers)))
+            batch_sums = list(ex.map(run_batch, range(len(gens))))
 
-    batch_sums = [acc for part in parts for acc in part]
     entries = tuple(
         math.fsum(acc[i] for acc in batch_sums) / samples for i in range(n)
     )

@@ -551,3 +551,21 @@ def test_reader_gone_before_the_report_is_not_bad_input():
         os.close(write_fd)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+def test_piped_input_is_read_once(tmp_path):
+    # /dev/stdin on a pipe can be read only once, so a second open of
+    # --input would see an empty file.
+    matrix = tmp_path / "cr8.json"
+    write_prob_matrix(matrix, generate_cr(CrParams(n=8, upset_prob=0.35)))
+    tennis_ranks = ["--ranks", str(DATA / "tennis_ranks.csv")]
+    for path, extra in [(matrix, []), (DATA / "tennis_h2h.csv", tennis_ranks)]:
+        argv = [sys.executable, "-m", "drawfix", "kings", *extra, "--input"]
+        from_file = subprocess.run([*argv, str(path)], env=_cli_env(),
+                                   capture_output=True, timeout=60)
+        piped = subprocess.run([*argv, "/dev/stdin"], env=_cli_env(),
+                               input=path.read_bytes(), capture_output=True,
+                               timeout=60)
+        assert (piped.returncode, piped.stderr) == (0, b"")
+        assert from_file.returncode == 0
+        assert piped.stdout == from_file.stdout

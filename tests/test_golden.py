@@ -32,3 +32,14 @@ def test_machine_output_is_pinned(case, fmt, tmp_path, monkeypatch):
     out = tmp_path / f"out.{fmt}"
     assert main([*CASES[case], "--format", fmt, "--output", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"mini_{case}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["2", "3"])
+def test_sampled_csv_ignores_worker_count(workers, tmp_path, monkeypatch):
+    # The CSV carries no run metadata, so it must equal the one-worker pin.
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "out.csv"
+    args = [*CASES["winprob-full-simulation"], "--workers", workers]
+    assert main([*args, "--format", "csv", "--output", str(out)]) == 0
+    golden = GOLDEN / "mini_winprob-full-simulation.csv"
+    assert out.read_bytes() == golden.read_bytes()

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -86,45 +87,66 @@ class TestSampled:
                                              mode=mode, workers=workers)
                 assert np.array_equal(a.entries, b.entries)
 
-    # CR(0.3) at 16 players, 20,000 samples from seed 0, on 1 and 2
-    # workers.  A change to the generator streams, the quota split or the
-    # batching moves these by far more than 1e-12.  Reordering the
-    # arithmetic that scores one bracket moves a per-draw-exact entry by a
-    # few ulps at most; full simulation has no such sums, so it must match
-    # exactly.
+    # CR(0.3) at 16 players, 20,000 samples from seed 0.  A change to the
+    # generator streams or the batching moves these by far more than
+    # 1e-12.  Reordering the arithmetic that scores one bracket moves a
+    # per-draw-exact entry by a few ulps at most; full simulation has no
+    # such sums, so it must match exactly.  The worker count plays no part.
     PINNED = {
-        ("per-draw-exact", 1): [
+        "per-draw-exact": [
             0.2400999999999897, 0.1750397737199877, 0.1301948547480011,
             0.09888575982566522, 0.07617659357508465, 0.0594326559000923,
             0.04717929475117257, 0.03761053933654989, 0.03048124107469455,
             0.02470328394149147, 0.02026029492248843, 0.016719788313849526,
             0.01389535657171187, 0.011544991819199954, 0.009675571500000197,
             0.00809999999999957],
-        ("per-draw-exact", 2): [
-            0.24009999999999085, 0.1750724341799893, 0.12999888704880072,
-            0.09885704048505682, 0.076129379656915, 0.059736717316926875,
-            0.04719024862353154, 0.03763137144562131, 0.030508952430094133,
-            0.02470983359375464, 0.020264921757642326, 0.016619733889113527,
-            0.01387033589894387, 0.011518594113599949, 0.009691549560000184,
-            0.008099999999999677],
-        ("full-simulation", 1): [
+        "full-simulation": [
             0.24155, 0.17095, 0.12965, 0.0987, 0.0808, 0.0589, 0.0473, 0.03765,
             0.03045, 0.0236, 0.01935, 0.01805, 0.01395, 0.011, 0.0099, 0.0082],
-        ("full-simulation", 2): [
-            0.24135, 0.1727, 0.1286, 0.1011, 0.07975, 0.0579, 0.0472, 0.03705,
-            0.02965, 0.0249, 0.02035, 0.0181, 0.01365, 0.01055, 0.0094, 0.00775],
     }
 
-    @pytest.mark.parametrize("mode, workers", sorted(PINNED))
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("mode", sorted(PINNED))
     def test_stream_is_pinned(self, mode, workers):
         t = generate_cr(CrParams(n=16, upset_prob=0.3))
-        got = sample_uniform_win_probs(t, samples=20_000, rng=0, mode=mode,
-                                       workers=workers).entries
-        want = self.PINNED[mode, workers]
+
+        def run(w):
+            return sample_uniform_win_probs(t, samples=20_000, rng=0, mode=mode,
+                                            workers=w).entries
+
+        got = run(workers)
+        want = self.PINNED[mode]
         if mode == "full-simulation":
             assert list(got) == want
         else:
             assert np.abs(np.subtract(got, want)).max() <= 1e-12
+        assert got == run(1)
+
+    @pytest.mark.parametrize("mode", ["per-draw-exact", "full-simulation"])
+    @pytest.mark.parametrize("samples", [1, _BATCH, _BATCH + 1, 20_000])
+    def test_worker_count_never_moves_the_estimate(self, mode, samples):
+        t = generate_cr(CrParams(n=8, upset_prob=0.3))
+        one = sample_uniform_win_probs(t, samples=samples, rng=11, mode=mode)
+        for workers in (2, 3, 64):
+            got = sample_uniform_win_probs(t, samples=samples, rng=11, mode=mode,
+                                           workers=workers)
+            assert got.entries == one.entries
+
+    @pytest.mark.parametrize("samples, workers", [(10, 64), (5000, 64),
+                                                  (20_000, 2), (20_000, 3)])
+    def test_threads_at_most_one_per_batch(self, samples, workers, monkeypatch):
+        started = []
+        real_start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        t = generate_cr(CrParams(n=4, upset_prob=0.25))
+        sample_uniform_win_probs(t, samples=samples, rng=3, workers=workers)
+        batches = -(-samples // _BATCH)
+        assert len(started) <= min(workers, batches)
 
     def test_model_size_batch_memory(self):
         # Brackets are scored in chunks, so one batch at the largest field
@@ -139,8 +161,8 @@ class TestSampled:
         assert peak < 64 * 2**20
 
     def test_worker_split_stays_unbiased(self):
-        # a different worker count reshuffles the sample budget but the
-        # estimate must stay near the exact vector
+        # four threads share the batches; the estimate stays near the
+        # exact vector
         t = generate_cr(CrParams(n=16, upset_prob=0.3))
         exact = np.asarray(exact_uniform_win_probs(t).entries)
         b = sample_uniform_win_probs(t, samples=20_000, rng=8, workers=4)
