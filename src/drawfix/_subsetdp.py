@@ -13,15 +13,24 @@ bit and adds the selected member columns, and the same array then turns
 into the B-half masks in place.  A dense ``2**n`` uint16 array maps a
 half's bitmask to its row in the previous level.
 
-Sweeps over the plan run level by level in blocks of whole parent
-subsets (about ``_BLOCK_ROWS`` halving rows each), writing into a
-preallocated level table, so temporaries stay a few megabytes at n = 16
-instead of the full |S| = 8 level.  Each block widens its slice of row
-indices to intp before it gathers, which keeps numpy's fancy indexing
-off its casting path.  The same block loop serves three
-recurrences: :func:`sweep` (float64 weights), :func:`winner_masks`
-(packed bitmasks of the players who can win each sub-bracket) and
-:func:`choice_points` (the effort of enumerating every winning draw).
+Sweeps over the plan run level by level in blocks of halving rows,
+writing into a preallocated level table.  A block holds whole parent
+subsets, or one chunk of a parent with more halvings than a block (at
+n = 16 the full set's 6,435).  Each call allocates its block buffers
+once: a block widens its slice of row indices to intp, which keeps
+numpy's ``take`` off its casting path, gathers both halves' rows into
+one buffer and combines them there in place.  The float recurrences
+multiply each level's table by the match matrix once, over at most
+1,820 rows at n = 16, and gather these half products like the rows,
+instead of multiplying every block's halves.  The final level would
+need another table the size of the |S| = n/2 level for them (1.6 MB at
+n = 16), so its blocks multiply their own halves.  A warm ``sweep(16)``
+traces about 2.8 MiB: the 1.6 MB level table, half a MiB of buffers and
+the temporary through which ``take`` checks a block's row indices.
+The same block loop serves three recurrences: :func:`sweep` (float64
+weights), :func:`winner_masks` (packed bitmasks of the players who can
+win each sub-bracket) and :func:`choice_points` (the effort of
+enumerating every winning draw).
 
 All sweep arithmetic runs in float64.  For n <= 16 the counting values
 stay below 2^53 (the full-draw total at n = 16 is 638,512,875 and every
@@ -29,8 +38,12 @@ partial product is smaller still), so float64 arithmetic is exact there.
 So are the choice points: every call of the enumeration descent yields
 at least one draw, which bounds them by 6435 + 90 * 638,512,875 (about
 5.7e10) at n = 16, and their caller checks the 2^53 bound at run time.
-Blocking changes no sum: each parent's k halvings are still added in
-plan order.
+Blocking changes no sum: each parent's k halvings are still added one
+after another in plan order, and a chunk's reduction starts from the
+running sum of the chunks before it, carried as its row 0.  The tests
+pin the sweep bit for bit to the per-block formula that the half
+products replaced, and every recurrence at several block sizes to its
+result at the default one.
 """
 from __future__ import annotations
 
@@ -46,8 +59,9 @@ from .core import require_exact_size
 __all__ = ["plan", "sweep", "winner_masks", "choice_points", "halvings", "bit_indices",
            "combine_count"]
 
-# Halving rows gathered per block of a level sweep; a block always holds
-# whole parent subsets, so a parent with more halvings gets a block alone.
+# Halvings per block of a level sweep (a quarter of them with half
+# products); a parent with more halvings than a block is split into
+# chunks.
 _BLOCK_ROWS = 4096
 
 
@@ -123,23 +137,72 @@ def plan(n: int) -> Plan:
     return Plan(n=n, levels=tuple(levels))
 
 
-def _levels(p: Plan, table: np.ndarray, combine):
+def _levels(p: Plan, table: np.ndarray, combine, reduce, half=None):
     """Yield (level, table) for every level of the plan, bottom up.
 
-    ``table`` holds the singleton rows; ``combine(ta, tb, k)`` maps the
-    gathered half rows of a block to one row per parent subset.
+    ``table`` holds the singleton rows.  Each block gathers the half rows
+    of its halvings into ``ta`` and ``tb`` and, given ``half(src, out)``,
+    their half products into ``ua`` and ``ub``.  ``combine(ta, tb)``, or
+    ``combine(ta, tb, ua, ub)`` with half products, leaves each halving's
+    contribution in ``ta``, and the ufunc ``reduce`` folds every parent's
+    contributions in plan order.  The caller may finish a yielded table
+    in place before the next level reads it.
     """
+    # With half products a block gathers twice the rows, 16 or 32 floats
+    # wide, so it takes a quarter of the halvings: a sweep's buffers stay
+    # at half a MiB.
+    rows = _BLOCK_ROWS if half is None else max(1, _BLOCK_ROWS // 4)
+    rows = min(rows, max((len(level.a_rows) for level in p.levels), default=1))
+    width = table.shape[1:]
+    # A block of m halvings gathers its A halves to rows 1..m and its B
+    # halves to rows m+1..2m; row 0 carries a parent's running sum from
+    # one chunk of it to the next.
+    t_buf = np.empty((2 * rows + 1,) + width, dtype=table.dtype)
+    u_buf = None if half is None else np.empty_like(t_buf)
+    idx = np.empty(2 * rows, dtype=np.intp)
     for level in p.levels:
-        k = level.k
-        step = max(1, _BLOCK_ROWS // k)
-        out = np.empty((len(level.masks),) + table.shape[1:], dtype=table.dtype)
-        for start in range(0, len(out), step):
-            rows = slice(start * k, (start + step) * k)
+        k, total = level.k, len(level.a_rows)
+        out = np.empty((len(level.masks),) + width, dtype=table.dtype)
+        # The final level's half products would take another table the
+        # size of the previous one, so its blocks compute their own.
+        u = None
+        if half is not None and level is not p.levels[-1]:
+            u = np.empty_like(table)
+            half(table, u)
+        # A block holds whole parents, or one chunk of a parent with more
+        # halvings than a block.
+        span = rows // k * k
+        if span:
+            bounds = [(lo, min(lo + span, total)) for lo in range(0, total, span)]
+        else:
+            bounds = [(lo, min(lo + rows, end)) for end in range(k, total + 1, k)
+                      for lo in range(end - k, end, rows)]
+        for lo, hi in bounds:
+            m = hi - lo
+            ix = idx[:2 * m]
             # Gathering with intp indices skips numpy's casting path.
-            out[start:start + step] = combine(
-                table[level.a_rows[rows].astype(np.intp)],
-                table[level.b_rows[rows].astype(np.intp)], k
-            )
+            ix[:m] = level.a_rows[lo:hi]
+            ix[m:] = level.b_rows[lo:hi]
+            gathered = t_buf[1:2 * m + 1]
+            # take's default mode checks every row index, as fancy indexing
+            # does, so a bad plan row raises instead of reading a clipped one.
+            table.take(ix, axis=0, out=gathered)
+            ta, tb = gathered[:m], gathered[m:]
+            if half is None:
+                combine(ta, tb)
+            else:
+                products = u_buf[1:2 * m + 1]
+                if u is None:
+                    half(gathered, products)
+                else:
+                    u.take(ix, axis=0, out=products)
+                combine(ta, tb, products[:m], products[m:])
+            parent, carry = divmod(lo, k)
+            if carry:
+                t_buf[0] = out[parent]
+            contrib = t_buf[1 - bool(carry):m + 1]
+            contrib = contrib.reshape((-1, k) + width) if span else contrib[None]
+            reduce.reduce(contrib, axis=1, out=out[parent:parent + len(contrib)])
         table = out
         yield level, table
 
@@ -153,12 +216,17 @@ def sweep(n: int, matrix: np.ndarray) -> np.ndarray:
     """
     mt = np.ascontiguousarray(np.asarray(matrix, dtype=float).T)
 
-    def combine(ca, cb, k):
-        contrib = ca * (cb @ mt) + cb * (ca @ mt)
-        return contrib.reshape(-1, k, n).sum(axis=1)
+    def half(t, out):
+        np.matmul(t, mt, out=out)
+
+    def combine(ta, tb, ua, ub):
+        # ta * (tb @ mt) + tb * (ta @ mt), in place.
+        ta *= ub
+        tb *= ua
+        ta += tb
 
     table = np.eye(n)
-    for _, table in _levels(plan(n), table, combine):
+    for _, table in _levels(plan(n), table, combine, np.add, half):
         pass
     return table[0]
 
@@ -177,20 +245,17 @@ def winner_masks(n: int, beats: np.ndarray) -> list[int]:
     for j in range(n):
         lose[1 << j:2 << j] = lose[:1 << j] | beaten_by[j]
 
-    def combine(wa, wb, k):
-        # (wa & lose[wb]) | (wb & lose[wa]), in place in the two gathers:
-        # fewer block temporaries pay for widening the row indices.
-        contrib = lose[wb]
-        contrib &= wa
-        other = lose[wa]
-        other &= wb
-        contrib |= other
-        return np.bitwise_or.reduce(contrib.reshape(-1, k), axis=1)
+    def combine(wa, wb):
+        # (wa & lose[wb]) | (wb & lose[wa]), in place in the two gathers.
+        other = lose.take(wb)
+        wb &= lose.take(wa)
+        wa &= other
+        wa |= wb
 
     singles = 1 << np.arange(n, dtype=np.int64)
     out = np.zeros(1 << n, dtype=np.int64)
     out[singles] = singles
-    for level, table in _levels(plan(n), singles, combine):
+    for level, table in _levels(plan(n), singles, combine, np.bitwise_or):
         out[level.masks] = table
     return out.tolist()
 
@@ -219,22 +284,28 @@ def choice_points(n: int, beats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     mt = np.ascontiguousarray(np.asarray(beats, dtype=float).T)
 
-    def combine(ta, tb, k):
-        # A gathered row [N | CP] read as two n-wide rows gives [u | v].
-        ua = (ta.reshape(-1, n) @ mt).reshape(ta.shape)
-        ub = (tb.reshape(-1, n) @ mt).reshape(tb.shape)
+    def half(t, out):
+        # A row [N | CP] read as two n-wide rows gives [u | v].
+        np.matmul(t.reshape(-1, n), mt, out=out.reshape(-1, n))
+
+    def combine(ta, tb, ua, ub):
+        # In place, in the order of the sums above: CP first, while N,
+        # u_A and u_B still hold their gathered values.
         na, pa, nb, pb = ta[:, :n], ta[:, n:], tb[:, :n], tb[:, n:]
-        contrib = np.empty_like(ta)
-        contrib[:, :n] = na * ub[:, :n] + nb * ua[:, :n]
-        contrib[:, n:] = (pa * (ub[:, :n] > 0) + na * ub[:, n:]
-                          + ua[:, n:] * (nb > 0) + ua[:, :n] * pb)
-        out = contrib.reshape(-1, k, 2 * n).sum(axis=1)
-        out[:, n:] += k * (out[:, :n] > 0)
-        return out
+        pa *= ub[:, :n] > 0
+        ub[:, n:] *= na
+        pa += ub[:, n:]
+        ua[:, n:] *= nb > 0
+        pa += ua[:, n:]
+        pb *= ua[:, :n]
+        pa += pb
+        ub[:, :n] *= na
+        ua[:, :n] *= nb
+        np.add(ub[:, :n], ua[:, :n], out=na)
 
     table = np.hstack([np.eye(n), np.zeros((n, n))])
-    for _, table in _levels(plan(n), table, combine):
-        pass
+    for level, table in _levels(plan(n), table, combine, np.add, half):
+        np.add(table[:, n:], level.k, out=table[:, n:], where=table[:, :n] > 0)
     return table[0, :n], table[0, n:]
 
 

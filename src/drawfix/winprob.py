@@ -35,7 +35,7 @@ _MODES = ("per-draw-exact", "full-simulation")
 # Fixed caps on the sampler's resource cost, the same on every machine:
 # at most one thread per worker and per batch, and run time linear in
 # the sample count (at n = 16 on one core of a 2-vCPU machine, about
-# 2.5 s per million per-draw-exact samples and under 1 s per million
+# 1 s per million per-draw-exact samples and 0.35 s per million
 # full-simulation ones).
 MAX_WORKERS = 64
 MAX_SAMPLES = 10_000_000

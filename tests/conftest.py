@@ -39,3 +39,25 @@ def random_probabilistic(n: int, rng) -> ProbabilisticTournament:
     probs[iu] = p[iu]
     probs.T[iu] = 1.0 - p[iu]
     return ProbabilisticTournament(players=PlayerTable.default(n), probs=probs)
+
+
+def reference_sweep(n: int, matrix) -> np.ndarray:
+    """The halving recurrence as each block computed it before half products:
+    ``ca * (cb @ mt) + cb * (ca @ mt)`` on the gathered half rows, summed
+    per parent, in blocks of whole parents of up to 4,096 halvings."""
+    from drawfix import _subsetdp
+
+    mt = np.ascontiguousarray(np.asarray(matrix, dtype=float).T)
+    table = np.eye(n)
+    for level in _subsetdp.plan(n).levels:
+        k = level.k
+        step = max(1, 4096 // k)
+        out = np.empty((len(level.masks), n))
+        for start in range(0, len(out), step):
+            rows = slice(start * k, (start + step) * k)
+            ca = table[level.a_rows[rows].astype(np.intp)]
+            cb = table[level.b_rows[rows].astype(np.intp)]
+            contrib = ca * (cb @ mt) + cb * (ca @ mt)
+            out[start:start + step] = contrib.reshape(-1, k, n).sum(axis=1)
+        table = out
+    return table[0]

@@ -3,7 +3,8 @@
 Find and enumerate share one descent, and the single-draw and batched
 bracket evaluators share one survival loop; these properties pin the
 shared paths to each other, to the independent counting route and to the
-oracle's tree walk.  The choice-point recurrence is pinned to the
+oracle's tree walk.  The subset sweep is pinned to the per-block formula
+its half products replaced.  The choice-point recurrence is pinned to the
 exhausted descent it accounts for, the KS permutation p-value, one
 lattice-path count, to full enumeration of the splits, and the upset
 model's rank recurrence to full enumeration of the draws.
@@ -30,10 +31,12 @@ from drawfix import (
     ks_two_sample,
     simulate,
 )
+from drawfix._subsetdp import sweep
 from drawfix.core import bracket_survival
 from drawfix.stats import _cr_rank_probs
 
 import oracle
+from conftest import reference_sweep
 
 SIZES = st.sampled_from([1, 2, 4, 8])
 # Scoring one bracket is cheap in the oracle, so the evaluator's properties
@@ -108,6 +111,20 @@ def test_choice_point_recurrence_matches_walk(t):
         stream = enumerate_winning_draws(t, target)
         list(stream)
         assert points[target] == stream.stats.choice_points
+
+
+@st.composite
+def weight_matrices(draw):
+    n = draw(st.sampled_from([2, 4, 8]))
+    cells = draw(st.lists(st.floats(0.0, 1.0), min_size=n * n, max_size=n * n))
+    return np.array(cells).reshape(n, n)
+
+
+@SETTINGS
+@given(weight_matrices())
+def test_sweep_equals_per_block_reference(weights):
+    n = len(weights)
+    assert sweep(n, weights).tobytes() == reference_sweep(n, weights).tobytes()
 
 
 @SETTINGS

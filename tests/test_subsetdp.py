@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_deterministic, random_probabilistic
+from conftest import random_deterministic, random_probabilistic, reference_sweep
 from drawfix import _subsetdp
 
 import oracle
@@ -125,6 +125,66 @@ def test_sweep_is_blocked():
     t = random_probabilistic(16, np.random.default_rng(44))
     _subsetdp.sweep(16, t.probs)
     assert _traced_peak(lambda: _subsetdp.sweep(16, t.probs))[1] < 32 * 2**20
+
+
+def test_warm_sweep_working_set():
+    # Half products and reused buffers: the 1.6 MB |S| = 8 table, half a
+    # MiB of block buffers and one gather's temporary, 2.8 MiB traced
+    # (4.7 MiB before).
+    t = random_probabilistic(16, np.random.default_rng(44))
+    _subsetdp.sweep(16, t.probs)
+    assert _traced_peak(lambda: _subsetdp.sweep(16, t.probs))[1] < 3 * 2**20
+
+
+def test_choice_points_working_set():
+    # 5.6 MiB traced (12.8 MiB before); the bound is 1.25 times that.
+    beats = random_deterministic(16, np.random.default_rng(45)).beats
+    _subsetdp.plan(16)
+    assert _traced_peak(lambda: _subsetdp.choice_points(16, beats))[1] < 7 * 2**20
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sweep_equals_per_block_reference(seed):
+    t = random_probabilistic(16, np.random.default_rng(300 + seed))
+    for matrix in (t.probs, (t.probs > 0.5).astype(float)):
+        assert _subsetdp.sweep(16, matrix).tobytes() == reference_sweep(16, matrix).tobytes()
+
+
+def _recurrences(n, with_choice_points=True):
+    t = random_probabilistic(n, np.random.default_rng(46))
+    beats = t.probs > 0.5
+    out = [_subsetdp.sweep(n, t.probs), _subsetdp.sweep(n, beats.astype(float)),
+           np.array(_subsetdp.winner_masks(n, beats))]
+    if with_choice_points:
+        out += _subsetdp.choice_points(n, beats)
+    return [a.tobytes() for a in out]
+
+
+def _block_rows(n, case):
+    """A value of ``_BLOCK_ROWS``; float recurrences take a quarter of it."""
+    levels = _subsetdp.plan(n).levels
+    return {
+        "one_halving": 1,
+        # one parent of the |S| = n/2 level per float block, and the full
+        # set in chunks of that many halvings
+        "one_parent": 4 * levels[-2].k,
+        "odd": 1007,
+        "default": _subsetdp._BLOCK_ROWS,
+        "whole_level": 4 * max(len(level.a_rows) for level in levels) + 4,
+    }[case]
+
+
+@pytest.mark.parametrize("n, case", [
+    (8, "one_halving"), (8, "one_parent"), (8, "odd"), (8, "default"), (8, "whole_level"),
+    (16, "one_parent"), (16, "odd"), (16, "default"), (16, "whole_level"),
+])
+def test_results_do_not_depend_on_the_block_size(n, case, monkeypatch):
+    # choice_points' whole-level buffers at n = 16 would take about 460 MB;
+    # n = 8 covers that case for it.
+    with_cp = (n, case) != (16, "whole_level")
+    expected = _recurrences(n, with_cp)
+    monkeypatch.setattr(_subsetdp, "_BLOCK_ROWS", _block_rows(n, case))
+    assert _recurrences(n, with_cp) == expected
 
 
 def test_cli_import_builds_no_plan():
