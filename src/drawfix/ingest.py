@@ -3,7 +3,9 @@
 This module decides what an input file is: ``read_tournaments`` tells
 the formats apart by their header row and returns both tournament
 readings of any of them.  Every reader refuses a file larger than
-MAX_INPUT_BYTES before reading it.
+MAX_INPUT_BYTES before reading it and parses it once; one CSV reader
+reads every CSV.  A malformed file of any format raises ValueError,
+which the command line turns into exit code 2.
 
 File formats (UTF-8 CSV, a leading byte-order mark is ignored, header
 row required, names quoted on output):
@@ -14,7 +16,8 @@ row required, names quoted on output):
 
 Probability matrices travel as JSON ({"format": "drawfix-probmatrix/1",
 "names": [...], "ranks": [...], "probs": [[...]]}) or as a square CSV
-with a leading name column.  Parsers reject unknown headers; integer
+with a leading name column; its names are quoted and may hold commas,
+double quotes and line breaks.  Parsers reject unknown headers; integer
 fields must be base-10 digits.
 
 Soccer pairs are decided on aggregate goals over the two legs, away
@@ -31,7 +34,7 @@ import io
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,8 +60,6 @@ __all__ = [
     "drop_player",
 ]
 
-MATCHES_HEADER = ["season", "home", "away", "home_goals", "away_goals"]
-H2H_HEADER = ["player_a", "player_b", "a_wins", "b_wins"]
 RANKS_HEADER = ["rank", "name"]
 
 PROB_MATRIX_FORMAT = "drawfix-probmatrix/1"
@@ -97,6 +98,11 @@ class HeadToHeadRecord:
     player_b: str
     a_wins: int
     b_wins: int
+
+
+# A record list's CSV header is the record's fields in declaration order.
+MATCHES_HEADER = [f.name for f in fields(MatchRecord)]
+H2H_HEADER = [f.name for f in fields(HeadToHeadRecord)]
 
 
 @dataclass(frozen=True)
@@ -140,13 +146,18 @@ def _read_text(path) -> str:
     return data.decode("utf-8-sig")
 
 
-def _csv_reader(text: str):
-    # newline="" as for a CSV file: quoted fields keep their line breaks.
-    return csv.reader(io.StringIO(text, newline=""))
+def _csv_rows(text: str, path) -> list[list[str]]:
+    """Every row of a CSV text; quoted fields keep their line breaks."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def _rows(text: str, path, header: list[str]) -> list[tuple[int, list[str]]]:
-    rows = list(_csv_reader(text))
+def _data_rows(
+    rows: list[list[str]], path, header: list[str]
+) -> list[tuple[int, list[str]]]:
     if not rows:
         raise ValueError(f"{path}: empty file")
     if rows[0] != header:
@@ -162,46 +173,28 @@ def _rows(text: str, path, header: list[str]) -> list[tuple[int, list[str]]]:
     return out
 
 
-def _parse_matches(text: str, path) -> list[MatchRecord]:
+def _parse_records(rows: list[list[str]], path, cls) -> list:
+    """``cls`` records from rows headed by its field names; ``int`` fields are checked."""
+    columns = fields(cls)
     out = []
-    for line, (season, home, away, hg, ag) in _rows(text, path, MATCHES_HEADER):
-        out.append(
-            MatchRecord(
-                season=season,
-                home=home,
-                away=away,
-                home_goals=_int_field(hg, line, "home_goals"),
-                away_goals=_int_field(ag, line, "away_goals"),
-            )
-        )
+    for line, row in _data_rows(rows, path, [f.name for f in columns]):
+        out.append(cls(*(_int_field(v, line, f.name) if f.type == "int" else v
+                         for f, v in zip(columns, row))))
     return out
 
 
 def read_matches(path) -> list[MatchRecord]:
-    return _parse_matches(_read_text(path), path)
-
-
-def _parse_h2h(text: str, path) -> list[HeadToHeadRecord]:
-    out = []
-    for line, (pa, pb, aw, bw) in _rows(text, path, H2H_HEADER):
-        out.append(
-            HeadToHeadRecord(
-                player_a=pa,
-                player_b=pb,
-                a_wins=_int_field(aw, line, "a_wins"),
-                b_wins=_int_field(bw, line, "b_wins"),
-            )
-        )
-    return out
+    return _parse_records(_csv_rows(_read_text(path), path), path, MatchRecord)
 
 
 def read_h2h(path) -> list[HeadToHeadRecord]:
-    return _parse_h2h(_read_text(path), path)
+    return _parse_records(_csv_rows(_read_text(path), path), path, HeadToHeadRecord)
 
 
 def read_ranks(path) -> RankingTable:
     seen = {}
-    for line, (rank, name) in _rows(_read_text(path), path, RANKS_HEADER):
+    rows = _csv_rows(_read_text(path), path)
+    for line, (rank, name) in _data_rows(rows, path, RANKS_HEADER):
         r = _int_field(rank, line, "rank")
         if r in seen:
             raise ValueError(f"{path}: duplicate rank {r}")
@@ -227,19 +220,11 @@ def write_csv(path, header: list[str], rows: Iterable[tuple]) -> None:
 
 
 def write_matches(path, records: Iterable[MatchRecord]) -> None:
-    write_csv(
-        path,
-        MATCHES_HEADER,
-        ((r.season, r.home, r.away, r.home_goals, r.away_goals) for r in records),
-    )
+    write_csv(path, MATCHES_HEADER, map(astuple, records))
 
 
 def write_h2h(path, records: Iterable[HeadToHeadRecord]) -> None:
-    write_csv(
-        path,
-        H2H_HEADER,
-        ((r.player_a, r.player_b, r.a_wins, r.b_wins) for r in records),
-    )
+    write_csv(path, H2H_HEADER, map(astuple, records))
 
 
 def write_ranks(path, ranking: RankingTable) -> None:
@@ -393,26 +378,29 @@ def write_prob_matrix(path, t: ProbabilisticTournament, fmt: str = "json") -> No
             writer.writerow([name, *[float(x) for x in row]])
 
 
-def _parse_prob_matrix(text: str, path) -> ProbabilisticTournament:
-    head = text.lstrip()[:1]
-    if head == "{":
+def _json_matrix(text: str, path) -> ProbabilisticTournament:
+    try:
         doc = json.loads(text)
-        if doc.get("format") != PROB_MATRIX_FORMAT:
-            raise ValueError(f"{path}: not a {PROB_MATRIX_FORMAT} file")
-        names, ranks, probs = doc.get("names"), doc.get("ranks"), doc.get("probs")
-        if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
-            raise ValueError(f"{path}: 'names' must be a list of strings")
-        if not isinstance(ranks, list) or not all(type(r) is int for r in ranks):
-            raise ValueError(f"{path}: 'ranks' must be a list of integers")
-        if not isinstance(probs, list) or not all(
-            isinstance(row, list)
-            and all(type(x) in (int, float) and 0 <= x <= 1 for x in row)
-            for row in probs
-        ):
-            raise ValueError(f"{path}: 'probs' must be a list of lists of numbers in [0, 1]")
-        players = PlayerTable(names=tuple(names), ranks=tuple(ranks))
-        return ProbabilisticTournament(players=players, probs=np.array(probs))
-    rows = list(csv.reader(text.splitlines()))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    if doc.get("format") != PROB_MATRIX_FORMAT:
+        raise ValueError(f"{path}: not a {PROB_MATRIX_FORMAT} file")
+    names, ranks, probs = doc.get("names"), doc.get("ranks"), doc.get("probs")
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise ValueError(f"{path}: 'names' must be a list of strings")
+    if not isinstance(ranks, list) or not all(type(r) is int for r in ranks):
+        raise ValueError(f"{path}: 'ranks' must be a list of integers")
+    if not isinstance(probs, list) or not all(
+        isinstance(row, list)
+        and all(type(x) in (int, float) and 0 <= x <= 1 for x in row)
+        for row in probs
+    ):
+        raise ValueError(f"{path}: 'probs' must be a list of lists of numbers in [0, 1]")
+    players = PlayerTable(names=tuple(names), ranks=tuple(ranks))
+    return ProbabilisticTournament(players=players, probs=np.array(probs))
+
+
+def _csv_matrix(rows: list[list[str]], path) -> ProbabilisticTournament:
     if not rows or not rows[0] or rows[0][0] != "name":
         header = ",".join(rows[0]) if rows else ""
         raise ValueError(f"unrecognized input format in {path!r}: header {header!r} "
@@ -430,7 +418,10 @@ def _parse_prob_matrix(text: str, path) -> ProbabilisticTournament:
 
 
 def read_prob_matrix(path) -> ProbabilisticTournament:
-    return _parse_prob_matrix(_read_text(path), path)
+    text = _read_text(path)
+    if text.lstrip()[:1] == "{":
+        return _json_matrix(text, path)
+    return _csv_matrix(_csv_rows(text, path), path)
 
 
 def read_tournaments(
@@ -438,22 +429,27 @@ def read_tournaments(
 ) -> tuple[DeterministicTournament, ProbabilisticTournament]:
     """Both tournament readings of an input file in any supported format.
 
-    Match lists and head-to-head lists are told apart by their header
-    row, compared cell by cell after stripping blanks, and need
-    ``ranks``, the path of a ranks file; ``season`` selects one season
-    of a match list.  Any other file is read as a probability matrix
-    (JSON or CSV), whose deterministic reading is ``to_deterministic()``.
-    The file is read once, so a pipe works as ``path``.
+    A file that opens with ``{`` is a JSON probability matrix.  Other
+    files are CSV: match lists and head-to-head lists are told apart by
+    their header row, compared cell by cell after stripping blanks, and
+    need ``ranks``, the path of a ranks file; ``season`` selects one
+    season of a match list.  Any other CSV is a probability matrix.  A
+    matrix's deterministic reading is ``to_deterministic()``.  The file
+    is read and parsed once, so a pipe works as ``path``.
     """
     text = _read_text(path)
-    header = [cell.strip() for cell in next(_csv_reader(text), [])]
+    if text.lstrip()[:1] == "{":
+        prob = _json_matrix(text, path)
+        return prob.to_deterministic(), prob
+    rows = _csv_rows(text, path)
+    header = [cell.strip() for cell in rows[0]] if rows else []
     if header not in (MATCHES_HEADER, H2H_HEADER):
-        prob = _parse_prob_matrix(text, path)
+        prob = _csv_matrix(rows, path)
         return prob.to_deterministic(), prob
     if not ranks:
         raise ValueError("--ranks is required for match or head-to-head input")
     ranking = read_ranks(ranks)
     if header == MATCHES_HEADER:
-        matches = _parse_matches(text, path)
+        matches = _parse_records(rows, path, MatchRecord)
         return soccer_to_tournaments(matches, ranking, season=season)
-    return tennis_to_tournaments(_parse_h2h(text, path), ranking)
+    return tennis_to_tournaments(_parse_records(rows, path, HeadToHeadRecord), ranking)

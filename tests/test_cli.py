@@ -326,6 +326,21 @@ class TestDatasetInputs:
         assert main(["count", "--input", str(weird)]) == 2
         assert "unrecognized input format" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, ranked, message", [
+        ("x" * 200_000 + ",y\n", False, "line 1: field larger than field limit"),
+        ("season,home,away,home_goals,away_goals\n2024," + "A" * 200_000 + ",B,1,1\n",
+         True, "line 2: field larger than field limit"),
+        ('{"format": "drawfix-probmatrix/1", "probs": ' + "[" * 100_000
+         + "]" * 100_000 + "}\n", False, "JSON nested too deeply"),
+    ], ids=["wide-first-row", "wide-match-field", "deep-json"])
+    def test_unparseable_file_exit_two(self, tmp_path, capsys, text, ranked, message):
+        # Each file is under the byte cap but beyond what the parsers take.
+        path = tmp_path / "input"
+        path.write_text(text)
+        ranks = ["--ranks", str(DATA / "mini_ranks.csv")] if ranked else []
+        assert main(["kings", "--input", str(path), *ranks]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("fields", [
         '"probs": [[0.5, 0.5], [0.5, 0.5]], "ranks": [1, 2]',
         '"probs": [[0.5, 0.5], [0.5, 0.5]], "names": ["a", "b"], "ranks": [1, null]',

@@ -1,9 +1,11 @@
 import os
+import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drawfix import (
     CrParams,
@@ -248,6 +250,17 @@ class TestProbMatrixFiles:
         assert back.players == prob.players
         assert np.allclose(back.probs, prob.probs)
 
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a\r\nb", '"a,\nb"'])
+    def test_csv_names_round_trip(self, tmp_path, name):
+        players = PlayerTable.from_ordered((name, "plain"))
+        t = ProbabilisticTournament(players=players, probs=np.array([[0.5, 0.25],
+                                                                     [0.75, 0.5]]))
+        path = tmp_path / "m.csv"
+        write_prob_matrix(path, t, fmt="csv")
+        for back in (read_prob_matrix(path), read_tournaments(path)[1]):
+            assert back.players == t.players
+            assert np.array_equal(back.probs, t.probs)
+
     def test_csv_requires_rank_order(self, tmp_path):
         players = PlayerTable(names=("x", "y"), ranks=(2, 1))
         t = ProbabilisticTournament(players=players, probs=np.full((2, 2), 0.5))
@@ -405,3 +418,31 @@ class TestInputByteCap:
         finally:
             writer.join(timeout=10)
         assert not writer.is_alive()
+
+
+# Text that opens like each input format, so that random bodies reach
+# every parser and not only the format sniffing.
+_OPENINGS = st.sampled_from([
+    "", "\ufeff", "season,home,away,home_goals,away_goals\n",
+    "player_a,player_b,a_wins,b_wins\n", "name,A,B\n", '"name","A","B"\n',
+    "rank,name\n", '{"format": "drawfix-probmatrix/1", ', '{"format": '
+    '"drawfix-probmatrix/1", "names": ["A", "B"], "ranks": [1, 2], "probs": ',
+])
+_BODIES = st.text() | st.text(alphabet='ABCD0159.,"\r\n []{}-e')
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(opening=_OPENINGS, body=_BODIES, ranked=st.booleans())
+def test_any_text_is_read_or_refused_with_value_error(opening, body, ranked):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_text(opening + body, encoding="utf-8")
+        ranks = None
+        if ranked:
+            ranks = Path(tmp) / "ranks.csv"
+            write_ranks(ranks, RANKS)
+        try:
+            det, prob = read_tournaments(path, ranks)
+        except ValueError:
+            return
+        assert det.n == prob.n
