@@ -9,20 +9,19 @@ asymptotic Kolmogorov distribution, which is approximate for 16-point
 samples and is evaluated by two short series in ``math``.
 
 The upset-model scan scores its whole grid with an O(n^2) recurrence
-over ranks and takes an exact subset sweep only at grid points whose KS
-result the recurrence's rounding could change.
+over ranks and never runs a subset sweep.  Grid points whose KS result
+the recurrence's float rounding could change run the same recurrence in
+exact rational arithmetic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, erfc, exp, fsum, log, pi, sqrt
 
 import numpy as np
 
 from .core import require_exact_size
-from .crmodel import CrParams, generate_cr
-from .winprob import WinProbVector, exact_uniform_win_probs
+from .winprob import WinProbVector
 
 __all__ = [
     "EmpiricalSample",
@@ -369,25 +368,19 @@ def likelihood_ratio_test(
 # number of sweeps.
 MIN_SCAN_STEP = 0.001
 
-# Error bound assumed for the rank recurrence.  Against exact rational
-# arithmetic it measures about 4e-16 at n = 16, and the exact sweep
-# about 6e-14.
-_RANK_PROB_TOL = 1e-9
-
-
-# The exact model sample for one grid point whose KS result the
-# recurrence's rounding could change.  One scan has at most 500 grid
-# points and this cache holds that many, so scans with different steps
-# in one process cannot grow it without bound.
-@lru_cache(maxsize=round(0.5 / MIN_SCAN_STEP))
-def _cr_win_prob_sample(n: int, upset_prob: float) -> EmpiricalSample:
-    if upset_prob == 0.5:
-        # Every match is a coin flip, so by symmetry every player wins with
-        # probability 1/n; the exact sweep gives that very float.
-        entries = (1.0 / n,) * n
-    else:
-        entries = exact_uniform_win_probs(generate_cr(CrParams(n, upset_prob))).entries
-    return EmpiricalSample.from_values(entries)
+# Relative error bound of the float rank recurrence at n <= 16 while
+# nothing underflows, as on the scan grid (u >= MIN_SCAN_STEP).  Every
+# term of the recurrence is nonnegative, so each computed value is its
+# exact value times (1 + theta_k), |theta_k| <= gamma_k = k eps / (1 - k eps)
+# with eps = 2^-53, where k counts the roundings along its longest path
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3-4).
+# One level multiplies h (1 rounding) by f_s (k_s) and by an s-term
+# cumulative sum of f_s weighted by u or 1 - u (k_s + s + 2), then sums s
+# such products: k_1 = 0, k_2s = 2 k_s + 2s + 4, so k_16 = 124 and
+# gamma_124 < 1.38e-14.  Measured against exact rational arithmetic the
+# error is at most 1.5e-15 at n = 16; the float subset sweep is up to
+# 2.9e-13 off.  Rounded up, which also covers the guard's own rounding.
+_RANK_PROB_TOL = 1.4e-14
 
 
 def _cr_rank_probs(n: int, us: np.ndarray) -> np.ndarray:
@@ -403,20 +396,24 @@ def _cr_rank_probs(n: int, us: np.ndarray) -> np.ndarray:
         f_2s(r) = sum_a H(a) f_s(a) (u F_s(r-a) + (1-u) (1 - F_s(r-a))),
 
     where F_s(c) is the chance that the other half's winner is one of
-    its c players better than r.
+    its c players better than r.  The result has the dtype of ``us``: a
+    float array gives floats within _RANK_PROB_TOL relative of the exact
+    values, an object array of ``fractions.Fraction`` gives them exactly.
     """
-    us = np.asarray(us, dtype=float)[:, None, None]
-    f = np.ones((us.shape[0], 1))
+    us = np.asarray(us)[:, None, None]
+    kind = type(us.flat[0]) if us.size else float
+    zero = np.full((us.shape[0], 1), kind(0), dtype=us.dtype)
+    f = np.full((us.shape[0], 1), kind(1), dtype=us.dtype)
     s = 1
     while s < n:
-        h = np.array([[comb(r, a) * comb(2 * s - 1 - r, s - 1 - a) for a in range(s)]
-                      for r in range(2 * s)], dtype=float) / comb(2 * s - 1, s - 1)
+        h = np.array([[kind(comb(r, a) * comb(2 * s - 1 - r, s - 1 - a))
+                       / kind(comb(2 * s - 1, s - 1)) for a in range(s)]
+                      for r in range(2 * s)], dtype=us.dtype)
         # better players in the other half; h is zero wherever the clip acts
         c = np.clip(np.arange(2 * s)[:, None] - np.arange(s), 0, s)
-        zero = np.zeros((f.shape[0], 1))
         below = np.concatenate([zero, np.cumsum(f, axis=1)], axis=1)
         above = np.concatenate([np.cumsum(f[:, ::-1], axis=1)[:, ::-1], zero], axis=1)
-        beats = us * below[:, c] + (1.0 - us) * above[:, c]
+        beats = us * below[:, c] + (kind(1) - us) * above[:, c]
         f = (h * f[:, None, :] * beats).sum(axis=2)
         s *= 2
     if np.abs(f.sum(axis=1) - 1.0).max(initial=0.0) > 1e-12:
@@ -460,12 +457,12 @@ def scan_cr(
     ``step`` must lie in [MIN_SCAN_STEP, 0.5], so the grid has at most
     500 points.
 
-    The model vectors come from an O(n^2) recurrence over ranks that
-    scores the whole grid without a subset sweep; a grid point whose KS
-    result its rounding could change takes its own exact sweep instead,
-    so the result equals that of one exact sweep per grid point.  At
-    u = 1/2 every entry ties, and symmetry gives the exact vector, n
-    entries of 1/n, without a sweep.
+    Every model vector comes from an O(n^2) recurrence over ranks that
+    scores the whole grid at once, with no subset sweep.  A grid point
+    whose KS result the float recurrence's rounding could change (u = 1/2,
+    where every entry ties, is one) is recomputed by the same recurrence
+    in exact rational arithmetic, so every step equals the KS test
+    against the correctly rounded exact model.
 
     ``reference_avg_upset`` is carried through to the report; pass the
     value from :func:`drawfix.crmodel.average_upset_probability` when
@@ -485,28 +482,30 @@ def scan_cr(
         grid.append(round(k * step, 10))
         k += 1
     # KS statistics and p-values depend only on how the pooled values
-    # order and tie, and the recurrence is within _RANK_PROB_TOL of the
-    # exact sweep, whose entries are all positive.  So a recurrence vector
-    # gives the exact sweep's KS result unless one of its entries lies
-    # within 2 * _RANK_PROB_TOL of another entry or of a reference value,
-    # or is not positive (a sample must be).  Such grid points are swept.
+    # order and tie, and every recurrence entry is within a relative
+    # _RANK_PROB_TOL of the exact model, whose entries are all positive.
+    # So a float vector gives the exact model's KS result unless one of
+    # its entries lies within a relative 2 * _RANK_PROB_TOL of another
+    # entry or of a reference value, or is not positive (a sample must
+    # be).  Such grid points take the exact recurrence, rounded once.
     require_exact_size(n)
     model = np.sort(_cr_rank_probs(n, np.array(grid)), axis=1)
     ref = np.array(reference.values)
-    close = 2 * _RANK_PROB_TOL
+    close = 2 * _RANK_PROB_TOL * model
     undecided = (
-        (np.diff(model, axis=1) <= close).any(axis=1)
-        | (np.abs(model[:, :, None] - ref).min(axis=2) <= close).any(axis=1)
+        (np.diff(model, axis=1) <= close[:, 1:]).any(axis=1)
+        | (np.abs(model[:, :, None] - ref) <= close[:, :, None]).any(axis=(1, 2))
         | (model[:, 0] <= 0.0)
     )
+    if undecided.any():
+        from fractions import Fraction  # only here, so importing drawfix stays light
+
+        exact_us = np.array([Fraction(u) for u in np.array(grid)[undecided]], dtype=object)
+        model[undecided] = np.sort(_cr_rank_probs(n, exact_us).astype(float), axis=1)
     steps = []
     accepted = []
-    for u, values, sweep in zip(grid, model, undecided):
-        if sweep:
-            sample = _cr_win_prob_sample(n, u)
-        else:
-            sample = EmpiricalSample(values=tuple(values))
-        ks = ks_two_sample(reference, sample)
+    for u, values in zip(grid, model):
+        ks = ks_two_sample(reference, EmpiricalSample(values=tuple(values)))
         ok = ks.p_value >= threshold
         steps.append(ScanStep(upset_prob=u, ks=ks, accepted=ok))
         if ok:

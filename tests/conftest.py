@@ -6,12 +6,20 @@ from pathlib import Path
 # one BLAS thread, as under the CLI.
 NUMPY_LOADED_BEFORE_DRAWFIX = "numpy" in sys.modules
 
-from drawfix import DeterministicTournament, PlayerTable, ProbabilisticTournament
+from drawfix import (
+    DeterministicTournament,
+    PlayerTable,
+    ProbabilisticTournament,
+    _subsetdp,
+    count_winning_draws,
+    find_winning_draw,
+)
 
 import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+import oracle  # noqa: E402
 
 
 @pytest.fixture
@@ -23,12 +31,18 @@ def cycle4() -> DeterministicTournament:
     return DeterministicTournament(players=PlayerTable.default(4), beats=beats)
 
 
-def random_deterministic(n: int, rng) -> DeterministicTournament:
-    upper = rng.random((n, n)) < 0.5
+def random_deterministic(n: int, rng, p: float = 0.5,
+                         shuffle: bool = False) -> DeterministicTournament:
+    """Player i beats a later-listed j with probability p; ``shuffle``
+    then permutes the ids, so the strong players land anywhere."""
+    upper = rng.random((n, n)) < p
     beats = np.zeros((n, n), dtype=bool)
     iu = np.triu_indices(n, k=1)
     beats[iu] = upper[iu]
     beats.T[iu] = ~upper[iu]
+    if shuffle:
+        order = rng.permutation(n)
+        beats = beats[order][:, order]
     return DeterministicTournament(players=PlayerTable.default(n), beats=beats)
 
 
@@ -61,3 +75,31 @@ def reference_sweep(n: int, matrix) -> np.ndarray:
             out[start:start + step] = contrib.reshape(-1, k, n).sum(axis=1)
         table = out
     return table[0]
+
+
+def check_fixing_conditions(t: DeterministicTournament) -> None:
+    """Hold the solver to the published fixing conditions in the oracle.
+
+    The full set's possible winners (``winner_masks``) lie in the top cycle
+    and beat at least log2(n) players.  Every certified player gets a
+    positive count and a found draw that it wins, so a None find means no
+    certificate holds.  A Condorcet winner wins every draw.
+    """
+    n = t.n
+    beats = t.beats.tolist()
+    full = _subsetdp.winner_masks(n, t.beats)[(1 << n) - 1]
+    possible = {i for i in range(n) if full >> i & 1}
+    assert possible <= {i for i in oracle.top_cycle(beats) if oracle.wins_enough(beats, i)}
+    report = count_winning_draws(t)
+    found = set()
+    for i in range(n):
+        draw = find_winning_draw(t, i).draw
+        if draw is not None:
+            assert oracle.tree_winner(oracle.leaves_tree(draw.leaves), beats) == i
+            found.add(i)
+    certified = oracle.certified_winners(beats)
+    assert certified <= found
+    assert all(report.counts[i] > 0 for i in certified)
+    for i in range(n):
+        if oracle.is_condorcet_winner(beats, i):
+            assert report.counts[i] == report.total_draws

@@ -61,7 +61,7 @@ def tree_winner(tree, beats):
 def tree_win_probs(tree, probs):
     """Map player id -> probability of winning this bracket."""
     if isinstance(tree, int):
-        return {tree: 1.0}
+        return {tree: 1}
     left = tree_win_probs(tree[0], probs)
     right = tree_win_probs(tree[1], probs)
     out = {}
@@ -81,9 +81,12 @@ def count_by_winner(n, beats):
 
 
 def uniform_win_probs(n, probs):
-    """Exact uniform-draw win probabilities by full enumeration."""
+    """Exact uniform-draw win probabilities by full enumeration.
+
+    With ``fractions.Fraction`` probabilities every step stays exact.
+    """
     draws = all_draws(range(n))
-    totals = [0.0] * n
+    totals = [0] * n
     for tree in draws:
         for player, p in tree_win_probs(tree, probs).items():
             totals[player] += p
@@ -134,3 +137,61 @@ def powerlaw_loglik(values, alpha, xmin):
     for x in values:
         out += math.log((alpha - 1.0) / xmin) - alpha * math.log(x / xmin)
     return out
+
+
+# Published conditions on who can win a balanced knockout draw, checked
+# straight from the win relation ``beats[i][j]`` (i beats j) of a field of
+# n = 2^k players.  The necessary ones bound the possible champions from
+# above, the sufficient ones certify some of them.
+
+def out_degree(beats, i):
+    return sum(1 for j in range(len(beats)) if j != i and beats[i][j])
+
+
+def top_cycle(beats):
+    """The Smith set: players from whom every player is reachable along a
+    chain of wins.  Every champion lies in it (Laslier 1997)."""
+    n = len(beats)
+    reach = [[i == j or bool(beats[i][j]) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                reach[i] = [r or rk for r, rk in zip(reach[i], reach[k])]
+    return {i for i in range(n) if all(reach[i])}
+
+
+def wins_enough(beats, i):
+    """A champion beats log2(n) distinct players on the way."""
+    return out_degree(beats, i) >= len(beats).bit_length() - 1
+
+
+def is_condorcet_winner(beats, i):
+    """Beats everyone, so wins every draw."""
+    return out_degree(beats, i) == len(beats) - 1
+
+
+def is_king(beats, i):
+    """Every player is i, beaten by i, or beaten by someone i beats."""
+    n = len(beats)
+    return all(j == i or beats[i][j] or any(beats[i][k] and beats[k][j] for k in range(n))
+               for j in range(n))
+
+
+def is_superking(beats, i):
+    """Every player who beats i loses to at least log2(n) players that i
+    beats (Vassilevska Williams, "Fixing a tournament", AAAI 2010)."""
+    n = len(beats)
+    need = n.bit_length() - 1
+    return all(sum(1 for k in range(n) if beats[i][k] and beats[k][j]) >= need
+               for j in range(n) if beats[j][i])
+
+
+def certified_winners(beats):
+    """Players that a published sufficient condition proves can win some
+    draw: a Condorcet winner, a king beating at least n/2 players, or a
+    superking (Vassilevska Williams 2010)."""
+    n = len(beats)
+    return {i for i in range(n)
+            if is_condorcet_winner(beats, i)
+            or (is_king(beats, i) and 2 * out_degree(beats, i) >= n)
+            or is_superking(beats, i)}

@@ -275,6 +275,20 @@ class TestFit:
         assert lines[0] == "x,empirical_ccdf,lognormal_ccdf,powerlaw_ccdf"
         assert len(lines) > 2
 
+    # On these leagues the scan picks a tail above the sample minimum (5 of
+    # 16 values on soccer, 3 of 8 on mini), which the log-normal fit does
+    # not share.  A fix turns these into passes, which strict xfail reports.
+    @pytest.mark.xfail(strict=True,
+                       reason="exits 2: fits must share the same sample truncation")
+    @pytest.mark.parametrize("league", ["soccer", "mini"])
+    def test_scan_xmin_on_leagues(self, league, tmp_path, capsys):
+        out = tmp_path / "fit.json"
+        code = main(["fit", "--input", str(DATA / f"{league}_matches.csv"),
+                     "--ranks", str(DATA / f"{league}_ranks.csv"), "--scan-xmin",
+                     "--output", str(out)])
+        assert "fits must share the same sample truncation" not in capsys.readouterr().err
+        assert code == 0
+
 
 class TestKings:
     def test_cycle(self, cycle4_path, tmp_path, capsys):

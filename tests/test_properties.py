@@ -7,8 +7,11 @@ oracle's tree walk.  The subset sweep is pinned to the per-block formula
 its half products replaced.  The choice-point recurrence is pinned to the
 exhausted descent it accounts for, the KS permutation p-value, one
 lattice-path count, to full enumeration of the splits, and the upset
-model's rank recurrence to full enumeration of the draws.
+model's rank recurrence to full enumeration of the draws and, in float,
+to its own exact rational run within the error bound the scan relies on.
 """
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -33,10 +36,10 @@ from drawfix import (
 )
 from drawfix._subsetdp import sweep
 from drawfix.core import bracket_survival
-from drawfix.stats import _cr_rank_probs
+from drawfix.stats import _RANK_PROB_TOL, MIN_SCAN_STEP, _cr_rank_probs
 
 import oracle
-from conftest import reference_sweep
+from conftest import check_fixing_conditions, random_deterministic, reference_sweep
 
 SIZES = st.sampled_from([1, 2, 4, 8])
 # Scoring one bracket is cheap in the oracle, so the evaluator's properties
@@ -167,3 +170,19 @@ def test_cr_rank_recurrence_matches_oracle(n, u):
     got = _cr_rank_probs(n, np.array([u]))[0]
     want = oracle.uniform_win_probs(n, generate_cr(CrParams(n, u)).probs)
     assert np.abs(got - want).max() <= 1e-12
+
+
+@SETTINGS
+@given(st.sampled_from([2, 4, 8, 16]), st.floats(MIN_SCAN_STEP, 0.5))
+def test_cr_rank_recurrence_error_within_stated_bound(n, u):
+    # The bound holds while nothing underflows, as on the scan's grid.
+    got = _cr_rank_probs(n, np.array([u]))[0]
+    exact = _cr_rank_probs(n, np.array([Fraction(u)], dtype=object))[0]
+    for value, want in zip(got, exact):
+        assert abs(Fraction(float(value)) - want) <= _RANK_PROB_TOL * want
+
+
+@SETTINGS
+@given(BRACKET_SIZES, st.sampled_from([0.5, 0.7, 0.85, 1.0]), st.integers(0, 2**32 - 1))
+def test_solver_meets_published_fixing_conditions(n, p, seed):
+    check_fixing_conditions(random_deterministic(n, np.random.default_rng(seed), p, shuffle=True))

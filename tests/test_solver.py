@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import random_deterministic
+from conftest import check_fixing_conditions, random_deterministic
 from drawfix import (
     DeterministicTournament,
     PlayerTable,
@@ -13,13 +15,17 @@ from drawfix import (
     find_winning_draw,
     kings,
     num_draws,
+    read_matches,
+    read_ranks,
     simulate,
+    soccer_to_tournaments,
 )
 from drawfix import _subsetdp
 from drawfix._subsetdp import combine_count
 
 import oracle
 
+DATA = Path(__file__).parent.parent / "data"
 
 def transitive(n: int) -> DeterministicTournament:
     beats = np.triu(np.ones((n, n), dtype=bool), k=1)
@@ -225,3 +231,23 @@ class TestCondorcetWinner:
             if w is not None:
                 assert all(t.beats[w][j] for j in range(8) if j != w)
                 assert count_winning_draws(t).counts[w] == num_draws(8)
+
+
+class TestPublishedFixingConditions:
+    """16-player fields, where brute force cannot reach, against the
+    top cycle, out-degree, king and superking conditions of the oracle."""
+
+    @pytest.mark.parametrize("p", [0.5, 0.7, 0.85, 0.95])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_fields(self, seed, p):
+        check_fixing_conditions(random_deterministic(16, np.random.default_rng(seed), p, shuffle=True))
+
+    @pytest.mark.parametrize("league", ["soccer", "mini"])
+    def test_bundled_leagues(self, league):
+        det, _ = soccer_to_tournaments(read_matches(DATA / f"{league}_matches.csv"),
+                                       read_ranks(DATA / f"{league}_ranks.csv"))
+        check_fixing_conditions(det)
+        beats = det.beats.tolist()
+        # Some players win only through the search: no condition covers them.
+        winners = {i for i, c in enumerate(count_winning_draws(det).counts) if c}
+        assert oracle.certified_winners(beats) < winners

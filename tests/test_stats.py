@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,17 +16,20 @@ from drawfix import (
     ecdf_points,
     exact_uniform_win_probs,
     fit_lognormal,
+    drop_player,
     fit_power_law,
     generate_cr,
     ks_two_sample,
     likelihood_ratio_test,
+    read_h2h,
     read_matches,
     read_ranks,
     scan_cr,
     soccer_to_tournaments,
+    tennis_to_tournaments,
 )
-from drawfix import stats
-from drawfix.stats import MIN_SCAN_STEP, ScanResult, ScanStep, _cr_win_prob_sample
+from drawfix import _subsetdp, stats
+from drawfix.stats import _RANK_PROB_TOL, ScanResult, ScanStep, _cr_rank_probs
 
 import oracle
 
@@ -368,8 +372,7 @@ class TestScanCr:
         assert result.reference_avg_upset == 0.3
 
     def test_exact_match_step_has_p_one(self):
-        t = generate_cr(CrParams(n=16, upset_prob=0.4))
-        reference = EmpiricalSample.from_win_probs(exact_uniform_win_probs(t))
+        reference = _exact_sample(16, 0.4)
         result = scan_cr(reference, 16, step=0.1)
         by_u = {round(s.upset_prob, 3): s for s in result.steps}
         assert by_u[0.4].ks.statistic == 0.0
@@ -403,25 +406,35 @@ class TestScanCr:
         assert result.min_accepted is None
         assert result.max_accepted is None
 
-    def test_model_cache_holds_one_finest_scan(self):
-        # Each step below gives a different grid; together they name
-        # 1447 distinct upset probabilities.
-        reference = EmpiricalSample.from_values([0.1, 0.2, 0.3, 0.4])
-        _cr_win_prob_sample.cache_clear()
-        for step in (0.001, 0.0011, 0.0013, 0.0017):
-            scan_cr(reference, 4, step=step)
-        assert _cr_win_prob_sample.cache_info().currsize <= round(0.5 / MIN_SCAN_STEP) == 500
+
+def _exact_model(n, u):
+    """The upset model's rank probabilities at u, in exact arithmetic."""
+    return _cr_rank_probs(n, np.array([Fraction(u)], dtype=object))[0]
 
 
-def _direct_scan(reference, n, step, threshold=0.05):
-    """scan_cr's grid loop with one exact sweep per grid point."""
-    steps = []
+def _exact_sample(n, u):
+    """The exact model at u, each entry rounded once to float."""
+    return EmpiricalSample.from_values(_exact_model(n, u).astype(float))
+
+
+def _sweep_sample(n, u):
+    """The model at u from one float subset sweep."""
+    return EmpiricalSample.from_win_probs(exact_uniform_win_probs(generate_cr(CrParams(n, u))))
+
+
+def _grid(step):
     k = 1
     while round(k * step, 10) <= 0.5:
-        u = round(k * step, 10)
-        ks = ks_two_sample(reference, _cr_win_prob_sample(n, u))
-        steps.append(ScanStep(upset_prob=u, ks=ks, accepted=ks.p_value >= threshold))
+        yield round(k * step, 10)
         k += 1
+
+
+def _scan_against(reference, model_at, step, threshold=0.05):
+    """scan_cr's grid loop with the model sample ``model_at(u)`` at each point."""
+    steps = []
+    for u in _grid(step):
+        ks = ks_two_sample(reference, model_at(u))
+        steps.append(ScanStep(upset_prob=u, ks=ks, accepted=ks.p_value >= threshold))
     accepted = [s.upset_prob for s in steps if s.accepted]
     return ScanResult(
         steps=tuple(steps),
@@ -431,22 +444,39 @@ def _direct_scan(reference, n, step, threshold=0.05):
     )
 
 
+def _direct_scan(reference, n, step):
+    """scan_cr's contract: the KS test against the rounded exact model."""
+    return _scan_against(reference, lambda u: _exact_sample(n, u), step)
+
+
 def _reference(kind, n, step):
     if kind == "lognormal":
         rng = np.random.default_rng(1000 * n + round(1e4 * step))
         return EmpiricalSample.from_values(rng.lognormal(-2.0, 1.0, size=n))
     if kind == "on-grid":  # the model vector at the grid point nearest 0.3
-        u = round(max(1, round(0.3 / step)) * step, 10)
-        return EmpiricalSample.from_win_probs(
-            exact_uniform_win_probs(generate_cr(CrParams(n, u))))
+        return _exact_sample(n, round(max(1, round(0.3 / step)) * step, 10))
     return EmpiricalSample.from_values([1e-9] * (n - 1) + [1.0 - (n - 1) * 1e-9])
 
 
-def _soccer_sample():
-    data = Path(__file__).parent.parent / "data"
-    _, prob = soccer_to_tournaments(read_matches(data / "soccer_matches.csv"),
-                                    read_ranks(data / "soccer_ranks.csv"))
+DATA = Path(__file__).parent.parent / "data"
+
+
+def _league_sample(name):
+    _, prob = soccer_to_tournaments(read_matches(DATA / f"{name}_matches.csv"),
+                                    read_ranks(DATA / f"{name}_ranks.csv"))
     return EmpiricalSample.from_win_probs(exact_uniform_win_probs(prob))
+
+
+def _soccer_sample():
+    return _league_sample("soccer")
+
+
+def _tennis_sample():
+    """The 17-player tennis field without its top seed."""
+    _, prob = tennis_to_tournaments(read_h2h(DATA / "tennis_h2h.csv"),
+                                    read_ranks(DATA / "tennis_ranks.csv"))
+    return EmpiricalSample.from_win_probs(
+        exact_uniform_win_probs(drop_player(prob, prob.players.ranks.index(1))))
 
 
 _EQUIVALENCE_CASES = [
@@ -470,32 +500,79 @@ class TestScanCrMatchesDirectSweeps:
             for step in (0.01, 0.05, 0.1):
                 assert scan_cr(reference, 16, step=step) == _direct_scan(reference, 16, step)
 
+    def test_fixtures_match_one_float_sweep_per_point(self):
+        # The float sweep is up to 2.9e-13 relative off the exact model, yet
+        # on the bundled fields no KS result at step 0.01 depends on that.
+        sweeps = {n: {u: _sweep_sample(n, u) for u in _grid(0.01)} for n in (8, 16)}
+        for reference in (_soccer_sample(), _league_sample("mini"), _tennis_sample()):
+            n = reference.size
+            want = _scan_against(reference, sweeps[n].__getitem__, 0.01)
+            assert scan_cr(reference, n, step=0.01) == want
+
     def test_soccer_sweeps_only_undecided_points(self, monkeypatch):
-        calls = []
-        real = stats.exact_uniform_win_probs
+        cr = EmpiricalSample.from_win_probs(
+            exact_uniform_win_probs(generate_cr(CrParams(16, 0.3))))
+        references = (_soccer_sample(), _league_sample("mini"), cr)
 
-        def counted(t):
-            calls.append(t.n)
-            return real(t)
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the scan ran a subset sweep")
 
-        soccer = _soccer_sample()
-        monkeypatch.setattr(stats, "exact_uniform_win_probs", counted)
-        for step, most in ((0.1, 0), (0.01, 0), (0.001, 3)):
-            _cr_win_prob_sample.cache_clear()
-            calls.clear()
-            scan_cr(soccer, 16, step=step)
-            # u = 1/2 ties every model entry, but symmetry gives it unswept
-            assert len(calls) <= most
+        monkeypatch.setattr(_subsetdp, "sweep", no_sweep)
+        with pytest.raises(AssertionError, match="subset sweep"):
+            _sweep_sample(4, 0.3)
+        for reference in references:
+            for step in (0.1, 0.01, 0.001):
+                scan_cr(reference, reference.size, step=step)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
-    def test_coin_flip_sample_is_the_exact_sweep(self, n):
-        _cr_win_prob_sample.cache_clear()
-        want = exact_uniform_win_probs(generate_cr(CrParams(n, 0.5))).entries
-        got = _cr_win_prob_sample(n, 0.5).values
-        assert [v.hex() for v in got] == [v.hex() for v in sorted(want)]
+    def test_coin_flip_sample_is_the_exact_sweep(self, n, monkeypatch):
+        sweep = exact_uniform_win_probs(generate_cr(CrParams(n, 0.5))).entries
+        assert [v.hex() for v in sweep] == [(1 / n).hex()] * n
+        scored = []
+        ks = stats.ks_two_sample
+
+        def spy(reference, sample):
+            scored.append(sample.values)
+            return ks(reference, sample)
+
+        monkeypatch.setattr(stats, "ks_two_sample", spy)
+        reference = EmpiricalSample.from_values(np.arange(1.0, n + 1) / (n * (n + 1) / 2))
+        scan_cr(reference, n, step=0.5)
+        # every match is a coin flip, so every player wins with exactly 1/n
+        assert scored == [(1 / n,) * n]
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_guard_holds_for_any_error_within_the_bound(self, n, monkeypatch):
+        # Replace the float recurrence by the exact model perturbed by up to
+        # the stated bound: ties with the reference (on-grid) and within the
+        # model (u = 1/2) must still give the exact model's KS results.
+        rng = np.random.default_rng(n)
+
+        def perturbed(m, us):
+            if us.dtype == object:
+                return _cr_rank_probs(m, us)
+            rows = _cr_rank_probs(m, np.array([Fraction(u) for u in us], dtype=object)).astype(float)
+            return rows * (1 + 0.99 * _RANK_PROB_TOL * rng.uniform(-1, 1, rows.shape))
+
+        monkeypatch.setattr(stats, "_cr_rank_probs", perturbed)
+        for step in (0.1, 0.05):
+            reference = _reference("on-grid", n, step)
+            assert scan_cr(reference, n, step=step) == _direct_scan(reference, n, step)
 
 
 class TestCrRankProbs:
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_exact_recurrence_equals_enumeration(self, n):
+        for u in (Fraction(1, 1000), Fraction(0.183), Fraction(3, 10), Fraction(1, 2)):
+            probs = [[Fraction(1, 2) if i == j else 1 - u if i < j else u
+                      for j in range(n)] for i in range(n)]
+            got = _cr_rank_probs(n, np.array([u], dtype=object))
+            assert got.tolist() == [oracle.uniform_win_probs(n, probs)]
+
+    def test_float_input_gives_floats(self):
+        assert _cr_rank_probs(4, np.array([0.25])).dtype == np.float64
+        assert all(type(v) is Fraction for v in _exact_model(4, 0.25))
+
     def test_matches_exact_sweep_at_sixteen(self):
         rng = np.random.default_rng(16)
         us = rng.uniform(0.0, 0.5, size=20)

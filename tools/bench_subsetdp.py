@@ -16,19 +16,19 @@ times, at n = 16 on a seeded probability matrix and its 0/1 relation:
 After the timed runs each worker reports every case's tracemalloc peak.
 The output is one JSON document with each tree's median and quartiles per
 case, the traced peaks, the ratio of medians against the baseline, and
-the environment.  Only numpy and the standard library are used.
+the environment.  Only numpy and the standard library are used; the
+alternation and quartiles come from ``benchutil``.
 """
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
-import platform
-import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from benchutil import alternate, describe, environment, summary
 
 ROOT = Path(__file__).resolve().parent.parent
 CASES = ("plan_cold", "sweep", "winner_masks", "choice_points")
@@ -94,28 +94,6 @@ class Worker:
         self.proc.wait(timeout=60)
 
 
-def describe(checkout: Path) -> dict:
-    """The commit of a checkout, whether its src/ differs from it, and a
-    digest of the measured module."""
-    def git(*args):
-        out = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True,
-                             text=True)
-        return out.stdout.strip() if out.returncode == 0 else None
-
-    module = checkout / "src" / "drawfix" / "_subsetdp.py"
-    status = git("status", "--porcelain", "--", "src")
-    return {
-        "commit": git("rev-parse", "HEAD"),
-        "src_modified": None if status is None else bool(status),
-        "subsetdp_sha256": hashlib.sha256(module.read_bytes()).hexdigest(),
-    }
-
-
-def summary(values: list[float], scale: float) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median * scale, "q1": q1 * scale, "q3": q3 * scale}
-
-
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--baseline", type=Path, help="another checkout to compare against")
@@ -131,13 +109,8 @@ def main(argv=None) -> int:
     try:
         for label, checkout in checkouts.items():
             workers[label] = Worker(checkout / "src", SEED)
-        times = {label: {case: [] for case in CASES} for label in workers}
-        labels = list(workers)
-        for run in range(args.runs):
-            order = labels if run % 2 == 0 else labels[::-1]
-            for case in CASES:
-                for label in order:
-                    times[label][case].append(workers[label].ask("time", case))
+        times = alternate(list(workers), CASES, args.runs,
+                          lambda label, case: workers[label].ask("time", case))
         peaks = {label: {case: w.ask("peak", case) / 2**20 for case in CASES}
                  for label, w in workers.items()}
         numpy_version = workers["current"].info["numpy"]
@@ -147,7 +120,7 @@ def main(argv=None) -> int:
 
     trees = {}
     for label, checkout in checkouts.items():
-        trees[label] = describe(checkout)
+        trees[label] = describe(checkout, ["src/drawfix/_subsetdp.py"])
         trees[label]["time_ms"] = {case: summary(times[label][case], 1e3) for case in CASES}
         trees[label]["traced_peak_mib"] = peaks[label]
     doc = {
@@ -155,14 +128,7 @@ def main(argv=None) -> int:
                 "alternating runs, warm except plan_cold",
         "seed": SEED,
         "runs": args.runs,
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": numpy_version,
-            "machine": platform.machine(),
-            "system": platform.system(),
-            "cpus": os.cpu_count(),
-            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS", "1"),
-        },
+        "environment": environment(numpy_version),
         "trees": trees,
     }
     if "baseline" in trees:
