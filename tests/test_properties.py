@@ -185,4 +185,5 @@ def test_cr_rank_recurrence_error_within_stated_bound(n, u):
 @SETTINGS
 @given(BRACKET_SIZES, st.sampled_from([0.5, 0.7, 0.85, 1.0]), st.integers(0, 2**32 - 1))
 def test_solver_meets_published_fixing_conditions(n, p, seed):
-    check_fixing_conditions(random_deterministic(n, np.random.default_rng(seed), p, shuffle=True))
+    rng = np.random.default_rng(seed)
+    check_fixing_conditions(random_deterministic(n, rng, p, shuffle=True))

@@ -27,6 +27,7 @@ import oracle
 
 DATA = Path(__file__).parent.parent / "data"
 
+
 def transitive(n: int) -> DeterministicTournament:
     beats = np.triu(np.ones((n, n), dtype=bool), k=1)
     return DeterministicTournament(players=PlayerTable.default(n), beats=beats)
@@ -240,7 +241,8 @@ class TestPublishedFixingConditions:
     @pytest.mark.parametrize("p", [0.5, 0.7, 0.85, 0.95])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_seeded_fields(self, seed, p):
-        check_fixing_conditions(random_deterministic(16, np.random.default_rng(seed), p, shuffle=True))
+        rng = np.random.default_rng(seed)
+        check_fixing_conditions(random_deterministic(16, rng, p, shuffle=True))
 
     @pytest.mark.parametrize("league", ["soccer", "mini"])
     def test_bundled_leagues(self, league):

@@ -13,10 +13,10 @@ from drawfix import (
     FitResult,
     UndefinedTestError,
     ccdf_points,
+    drop_player,
     ecdf_points,
     exact_uniform_win_probs,
     fit_lognormal,
-    drop_player,
     fit_power_law,
     generate_cr,
     ks_two_sample,
@@ -407,14 +407,10 @@ class TestScanCr:
         assert result.max_accepted is None
 
 
-def _exact_model(n, u):
-    """The upset model's rank probabilities at u, in exact arithmetic."""
-    return _cr_rank_probs(n, np.array([Fraction(u)], dtype=object))[0]
-
-
 def _exact_sample(n, u):
-    """The exact model at u, each entry rounded once to float."""
-    return EmpiricalSample.from_values(_exact_model(n, u).astype(float))
+    """The upset model at u in exact arithmetic, each entry rounded once."""
+    exact = _cr_rank_probs(n, np.array([Fraction(u)], dtype=object))[0]
+    return EmpiricalSample.from_values(exact.astype(float))
 
 
 def _sweep_sample(n, u):
@@ -551,7 +547,8 @@ class TestScanCrMatchesDirectSweeps:
         def perturbed(m, us):
             if us.dtype == object:
                 return _cr_rank_probs(m, us)
-            rows = _cr_rank_probs(m, np.array([Fraction(u) for u in us], dtype=object)).astype(float)
+            exact = np.array([Fraction(u) for u in us], dtype=object)
+            rows = _cr_rank_probs(m, exact).astype(float)
             return rows * (1 + 0.99 * _RANK_PROB_TOL * rng.uniform(-1, 1, rows.shape))
 
         monkeypatch.setattr(stats, "_cr_rank_probs", perturbed)
@@ -568,10 +565,6 @@ class TestCrRankProbs:
                       for j in range(n)] for i in range(n)]
             got = _cr_rank_probs(n, np.array([u], dtype=object))
             assert got.tolist() == [oracle.uniform_win_probs(n, probs)]
-
-    def test_float_input_gives_floats(self):
-        assert _cr_rank_probs(4, np.array([0.25])).dtype == np.float64
-        assert all(type(v) is Fraction for v in _exact_model(4, 0.25))
 
     def test_matches_exact_sweep_at_sixteen(self):
         rng = np.random.default_rng(16)
