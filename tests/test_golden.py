@@ -1,11 +1,13 @@
 """Byte pins of the CLI's machine outputs on the bundled leagues.
 
 Each case runs on one fixture, and its pins are
-``tests/golden/<fixture>_<case>.{json,csv}``.  The mini-league pins were
-written by the CLI before its input loading moved into
+``tests/golden/<fixture>_<case>.{json,csv}``; ``cr8`` is the 8-player
+matrix that ``gen-cr`` writes, which reads no input.  The mini-league
+pins were written by the CLI before its input loading moved into
 ``drawfix.ingest``; the step-0.001 scans were written before the scan
-took every grid point from the rank recurrence.  Every later change
-must reproduce them byte for byte.  The JSON metadata records the input
+took every grid point from the rank recurrence; the ``count`` and
+``gen-cr`` pins were written before the CLI built its CSV rows from its
+JSON rows.  Every later change must reproduce them byte for byte.  The JSON metadata records the input
 paths, so the commands run from the repository root with relative paths.
 """
 from pathlib import Path
@@ -22,6 +24,9 @@ SOCCER = ["--input", "data/soccer_matches.csv", "--ranks", "data/soccer_ranks.cs
 # names the pin.
 CASES = {
     "fix": ("mini", ["fix", *MINI, "--target", "Elmsworth Badgers"]),
+    "count-stats-none": ("mini", ["count", *MINI, "--stats", "none"]),
+    "count-stats-first": ("mini", ["count", *MINI, "--stats", "first"]),
+    "count-stats-all": ("mini", ["count", *MINI, "--stats", "all"]),
     "kings": ("mini", ["kings", *MINI]),
     "winprob": ("mini", ["winprob", *MINI]),
     "winprob-full-simulation": ("mini", ["winprob", *MINI, "--mode", "full-simulation",
@@ -30,6 +35,7 @@ CASES = {
     "scan-step-0.001": ("mini", ["scan", *MINI, "--step", "0.001"]),
     "soccer-scan-step-0.001": ("soccer", ["scan", *SOCCER, "--step", "0.001"]),
     "fit": ("mini", ["fit", *MINI]),
+    "cr8-gen-cr": ("cr8", ["gen-cr", "--players", "8", "--upset-prob", "0.3"]),
 }
 
 
