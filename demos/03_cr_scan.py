@@ -39,8 +39,7 @@ print("  ...\n")
 
 print(f"average upset probability in the season data: {avg:.3f}")
 
-result = scan_cr(reference, 16, step=0.05, threshold=0.05,
-                 reference_avg_upset=avg)
+result = scan_cr(reference, 16, step=0.05, threshold=0.05)
 print(f"\n{'upset prob':>10s} {'KS stat':>8s} {'p value':>8s}  verdict")
 for step in result.steps:
     verdict = "accept" if step.accepted else "reject"

@@ -92,14 +92,15 @@ def _write_machine(
     csv_rows: list[list],
 ) -> None:
     """Write ``--output``: ``data`` under the run metadata as JSON, or
-    the CSV rows with None as an empty field."""
+    the CSV rows with None as an empty field and a bool as 0 or 1."""
     if not args.output:
         return
     if args.format == "json":
         write_json(args.output, {**_meta(args), "data": data})
     else:
         write_csv(args.output, csv_header,
-                  (["" if v is None else v for v in row] for row in csv_rows))
+                  (["" if v is None else int(v) if isinstance(v, bool) else v
+                    for v in row] for row in csv_rows))
 
 
 def _fmt_opt(value, fmt: str = "") -> str:
@@ -134,13 +135,8 @@ def cmd_fix(args: argparse.Namespace) -> int:
         "bracket": bracket,
         "choice_points": result.stats.choice_points,
     }
-    _write_machine(
-        args,
-        data,
-        ["target", "found", "bracket", "choice_points"],
-        [[args.target, int(found), "" if bracket is None else bracket,
-          result.stats.choice_points]],
-    )
+    columns = ["target", "found", "bracket", "choice_points"]
+    _write_machine(args, data, columns, [[data[c] for c in columns]])
     return EXIT_OK if found else EXIT_NEGATIVE
 
 
@@ -180,16 +176,7 @@ def cmd_count(args: argparse.Namespace) -> int:
             f"{_fmt_opt(r['nodes_all']):>{all_w}}"
         )
     data = {"total_draws": report.total_draws, "players": rows}
-    _write_machine(
-        args,
-        data,
-        ["rank", "name", "count", "share", "nodes_first", "nodes_all"],
-        [
-            [r["rank"], r["name"], r["count"], r["share"], r["nodes_first"],
-             r["nodes_all"]]
-            for r in rows
-        ],
-    )
+    _write_machine(args, data, list(rows[0]), [list(r.values()) for r in rows])
     return EXIT_OK
 
 
@@ -226,12 +213,7 @@ def cmd_winprob(args: argparse.Namespace) -> int:
         "samples": vector.samples,
         "players": rows,
     }
-    _write_machine(
-        args,
-        data,
-        ["rank", "name", "win_prob"],
-        [[r["rank"], r["name"], r["win_prob"]] for r in rows],
-    )
+    _write_machine(args, data, list(rows[0]), [list(r.values()) for r in rows])
     return EXIT_OK
 
 
@@ -240,13 +222,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     reference = EmpiricalSample.from_win_probs(exact_uniform_win_probs(prob))
     avg_upset = average_upset_probability(prob)
     start = time.perf_counter()
-    result = scan_cr(
-        reference,
-        prob.n,
-        step=args.step,
-        threshold=args.threshold,
-        reference_avg_upset=avg_upset,
-    )
+    result = scan_cr(reference, prob.n, step=args.step, threshold=args.threshold)
     elapsed = time.perf_counter() - start
     # as many decimals as the step has (the grid is rounded to 10), so
     # every grid point keeps its own label
@@ -283,13 +259,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
         "max_accepted": result.max_accepted,
         "steps": steps,
     }
-    _write_machine(
-        args,
-        data,
-        ["upset_prob", "statistic", "p_value", "accepted"],
-        [[s["upset_prob"], s["statistic"], s["p_value"], int(s["accepted"])]
-         for s in steps],
-    )
+    columns = ["upset_prob", "statistic", "p_value", "accepted"]
+    _write_machine(args, data, columns, [[s[c] for c in columns] for s in steps])
     return EXIT_OK
 
 
@@ -378,26 +349,13 @@ def cmd_kings(args: argparse.Namespace) -> int:
         args,
         data,
         ["name", "is_condorcet_winner"],
-        [[name, int(players.id_of(name) == winner)] for name in king_names],
+        [[name, name == data["condorcet_winner"]] for name in king_names],
     )
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # parser
-
-
-def _add_input_opts(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--input", required=True,
-                    help="probability matrix (json/csv), match list or head-to-head list")
-    sp.add_argument("--ranks", help="rank,name csv (required for match/h2h input)")
-    sp.add_argument("--season", help="season filter for match input")
-
-
-def _add_output_opts(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--output", help="write machine-readable results to this file")
-    sp.add_argument("--format", choices=("json", "csv"), default="json",
-                    help="machine output format (default json)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,16 +367,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"drawfix {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the input and output options of every analysis subcommand
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--input", required=True,
+                        help="probability matrix (json/csv), match list or head-to-head list")
+    shared.add_argument("--ranks", help="rank,name csv (required for match/h2h input)")
+    shared.add_argument("--season", help="season filter for match input")
+    shared.add_argument("--output", help="write machine-readable results to this file")
+    shared.add_argument("--format", choices=("json", "csv"), default="json",
+                        help="machine output format (default json)")
 
-    fix = sub.add_parser("fix", help="find one draw that crowns the target")
-    _add_input_opts(fix)
-    _add_output_opts(fix)
+    fix = sub.add_parser("fix", parents=[shared], help="find one draw that crowns the target")
     fix.add_argument("--target", required=True, help="player name to make champion")
     fix.set_defaults(func=cmd_fix)
 
-    count = sub.add_parser("count", help="count winning draws for every player")
-    _add_input_opts(count)
-    _add_output_opts(count)
+    count = sub.add_parser("count", parents=[shared], help="count winning draws for every player")
     count.add_argument("--stats", choices=("first", "all", "none"), default="first",
                        help="search effort columns in choice points: up to the "
                             "first winning draw, also over the full enumeration "
@@ -426,10 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "neither (default first)")
     count.set_defaults(func=cmd_count)
 
-    winprob = sub.add_parser("winprob",
+    winprob = sub.add_parser("winprob", parents=[shared],
                              help="win probability of each player under a uniform draw")
-    _add_input_opts(winprob)
-    _add_output_opts(winprob)
     winprob.add_argument("--mode",
                          choices=("exact", "per-draw-exact", "full-simulation"),
                          default="exact", help="exact dynamic program or sampling")
@@ -443,10 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "never the result")
     winprob.set_defaults(func=cmd_winprob)
 
-    scan = sub.add_parser("scan",
+    scan = sub.add_parser("scan", parents=[shared],
                           help="scan upset probabilities consistent with the input")
-    _add_input_opts(scan)
-    _add_output_opts(scan)
     scan.add_argument("--step", type=float, default=0.01,
                       help="grid step over upset probabilities (default 0.01, "
                            f"at least {MIN_SCAN_STEP})")
@@ -454,10 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="KS acceptance p-value threshold (default 0.05)")
     scan.set_defaults(func=cmd_scan)
 
-    fit = sub.add_parser("fit",
+    fit = sub.add_parser("fit", parents=[shared],
                          help="power law vs log-normal fit of win probabilities")
-    _add_input_opts(fit)
-    _add_output_opts(fit)
     fit.add_argument("--scan-xmin", action="store_true",
                      help="choose the power law cutoff by KS scan instead of "
                           "the sample minimum")
@@ -475,10 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="matrix format (default json)")
     gen_cr.set_defaults(func=cmd_gen_cr)
 
-    kings_p = sub.add_parser("kings",
+    kings_p = sub.add_parser("kings", parents=[shared],
                              help="kings and beats-everyone winner of the input")
-    _add_input_opts(kings_p)
-    _add_output_opts(kings_p)
     kings_p.set_defaults(func=cmd_kings)
 
     return parser

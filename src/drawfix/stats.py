@@ -4,7 +4,8 @@ The two-sample Kolmogorov-Smirnov distance is computed exactly in
 integer units of 1/(n_a*n_b), so tie handling and permutation tests
 never depend on float rounding.  For small pooled samples the p-value
 is the exact permutation probability, one lattice-path count over the
-sorted pooled sample with ties kept together; large samples use the
+sorted pooled sample with ties kept together, kept per tie pattern so a
+scan repeats none of them; large samples use the
 asymptotic Kolmogorov distribution, which is approximate for 16-point
 samples and is evaluated by two short series in ``math``.
 
@@ -16,6 +17,7 @@ exact rational arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, erfc, exp, fsum, log, pi, sqrt
 
 import numpy as np
@@ -74,16 +76,16 @@ class EmpiricalSample:
         return len(self.values)
 
 
-def _tie_ends(vals: np.ndarray) -> np.ndarray:
-    # Index of the last entry of each run of equal values in sorted vals;
+def _run_ends(vals: np.ndarray) -> np.ndarray:
+    # True at the last entry of each run of equal values in sorted vals;
     # np.unique would load numpy.ma on first use.
-    return np.flatnonzero(np.append(vals[1:] != vals[:-1], True))
+    return np.append(vals[1:] != vals[:-1], True)
 
 
 def ecdf_points(s: EmpiricalSample) -> list[tuple[float, float]]:
     """Step points (x, F(x)) of the empirical CDF, F right-continuous."""
     vals = np.array(s.values)
-    ends = _tie_ends(vals)
+    ends = np.flatnonzero(_run_ends(vals))
     f = (ends + 1) / vals.size
     return list(zip(vals[ends].tolist(), f.tolist()))
 
@@ -115,18 +117,19 @@ def _distance_int(a: np.ndarray, b: np.ndarray, pooled: np.ndarray) -> int:
     return int(np.abs(ca * b.size - cb * a.size).max())
 
 
-def _permutation_p(pooled: list[float], na: int, nb: int, d_int: int) -> float:
+@lru_cache(maxsize=1024)
+def _permutation_p(run_ends: tuple[bool, ...], na: int, nb: int, d_int: int) -> float:
     # P(D >= d_int) over all C(m, na) equally likely splits of the sorted
-    # pooled sample.  paths[i] counts the ways to assign the first k
-    # positions with i of them in sample a while keeping the distance
-    # below d_int; it is checked only at the end of each tie run, where
-    # both empirical CDFs are defined.
+    # pooled sample, whose tie runs end where run_ends is True.  paths[i]
+    # counts the ways to assign the first k positions with i of them in
+    # sample a while keeping the distance below d_int; it is checked only
+    # at the end of each tie run, where both empirical CDFs are defined.
     m = na + nb
     paths = [1] + [0] * na
-    for k in range(1, m + 1):
+    for k, end in enumerate(run_ends, start=1):
         for i in range(min(k, na), 0, -1):
             paths[i] += paths[i - 1]
-        if k == m or pooled[k] != pooled[k - 1]:
+        if end:
             for i in range(min(k, na) + 1):
                 if abs(i * nb - (k - i) * na) >= d_int:
                     paths[i] = 0
@@ -172,7 +175,7 @@ def ks_two_sample(a: EmpiricalSample, b: EmpiricalSample, method: str = "auto") 
         return KsResult(statistic=d, p_value=min(1.0, max(0.0, p)), method="asymptotic")
     if method != "permutation":
         raise ValueError(f"unknown method: {method!r}")
-    p = _permutation_p(pooled.tolist(), na, nb, d_int)
+    p = _permutation_p(tuple(_run_ends(pooled).tolist()), na, nb, d_int)
     return KsResult(statistic=d, p_value=p, method="permutation")
 
 
@@ -249,7 +252,7 @@ def fit_power_law(
         if xmin is not None:
             raise ValueError("give either xmin or scan=True, not both")
         best = None
-        for cand in vals[_tie_ends(vals)][:-1]:
+        for cand in vals[_run_ends(vals)][:-1]:
             tail = vals[vals >= cand]
             if tail.size < 2:
                 continue
@@ -435,9 +438,16 @@ class ScanResult:
 
     steps: tuple[ScanStep, ...]
     threshold: float
-    min_accepted: float | None
-    max_accepted: float | None
-    reference_avg_upset: float | None = None
+
+    @property
+    def min_accepted(self) -> float | None:
+        """Smallest accepted upset probability; None if none is accepted."""
+        return min((s.upset_prob for s in self.steps if s.accepted), default=None)
+
+    @property
+    def max_accepted(self) -> float | None:
+        """Largest accepted upset probability; None if none is accepted."""
+        return max((s.upset_prob for s in self.steps if s.accepted), default=None)
 
 
 def scan_cr(
@@ -445,7 +455,6 @@ def scan_cr(
     n: int,
     step: float = 0.01,
     threshold: float = 0.05,
-    reference_avg_upset: float | None = None,
 ) -> ScanResult:
     """Compare a reference win-probability sample against the upset model.
 
@@ -464,9 +473,10 @@ def scan_cr(
     in exact rational arithmetic, so every step equals the KS test
     against the correctly rounded exact model.
 
-    ``reference_avg_upset`` is carried through to the report; pass the
-    value from :func:`drawfix.crmodel.average_upset_probability` when
-    the reference came from a full probability matrix.
+    To compare the accepted range with the reference's own upset rate,
+    compute that rate with
+    :func:`drawfix.crmodel.average_upset_probability` on the matrix the
+    reference came from.
     """
     if reference.size != n:
         raise ValueError(
@@ -503,17 +513,7 @@ def scan_cr(
         exact_us = np.array([Fraction(u) for u in np.array(grid)[undecided]], dtype=object)
         model[undecided] = np.sort(_cr_rank_probs(n, exact_us).astype(float), axis=1)
     steps = []
-    accepted = []
     for u, values in zip(grid, model):
         ks = ks_two_sample(reference, EmpiricalSample(values=tuple(values)))
-        ok = ks.p_value >= threshold
-        steps.append(ScanStep(upset_prob=u, ks=ks, accepted=ok))
-        if ok:
-            accepted.append(u)
-    return ScanResult(
-        steps=tuple(steps),
-        threshold=threshold,
-        min_accepted=min(accepted) if accepted else None,
-        max_accepted=max(accepted) if accepted else None,
-        reference_avg_upset=reference_avg_upset,
-    )
+        steps.append(ScanStep(upset_prob=u, ks=ks, accepted=ks.p_value >= threshold))
+    return ScanResult(steps=tuple(steps), threshold=threshold)

@@ -1,8 +1,8 @@
 """The committed synthetic datasets and their expected outputs.
 
-The 8-team expectations were produced by standalone bracket enumeration
-in tools/make_synthetic_data.py, so comparing them against the library
-is a genuine two-route check.  The 16-player expectations pin library
+The 8-team expectations were produced by the brute-force bracket
+enumeration in tests/oracle.py, which shares no code with the library,
+so comparing them against the library is a genuine two-route check.  The 16-player expectations pin library
 output at generation time and guard against regressions.
 """
 
@@ -94,12 +94,12 @@ class TestSoccerSeason:
         expected = load_expected("soccer_scan.json")
         reference = EmpiricalSample.from_win_probs(exact_uniform_win_probs(prob))
         result = scan_cr(reference, 16, step=expected["step"],
-                         threshold=expected["threshold"],
-                         reference_avg_upset=average_upset_probability(prob))
+                         threshold=expected["threshold"])
+        avg_upset = average_upset_probability(prob)
         assert result.min_accepted == pytest.approx(expected["min_accepted"])
         assert result.max_accepted == pytest.approx(expected["max_accepted"])
-        assert result.reference_avg_upset == pytest.approx(expected["avg_upset"])
-        assert result.min_accepted <= result.reference_avg_upset <= result.max_accepted
+        assert avg_upset == pytest.approx(expected["avg_upset"])
+        assert result.min_accepted <= avg_upset <= result.max_accepted
 
 
 class TestTennisTour:

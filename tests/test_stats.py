@@ -364,12 +364,10 @@ class TestScanCr:
     def test_truth_is_accepted(self):
         t = generate_cr(CrParams(n=8, upset_prob=0.3))
         reference = EmpiricalSample.from_win_probs(exact_uniform_win_probs(t))
-        result = scan_cr(reference, 8, step=0.1, threshold=0.05,
-                         reference_avg_upset=0.3)
+        result = scan_cr(reference, 8, step=0.1, threshold=0.05)
         accepted = [s.upset_prob for s in result.steps if s.accepted]
         assert 0.3 in [pytest.approx(u) for u in accepted]
         assert result.min_accepted <= 0.3 <= result.max_accepted
-        assert result.reference_avg_upset == 0.3
 
     def test_exact_match_step_has_p_one(self):
         reference = _exact_sample(16, 0.4)
@@ -431,13 +429,7 @@ def _scan_against(reference, model_at, step, threshold=0.05):
     for u in _grid(step):
         ks = ks_two_sample(reference, model_at(u))
         steps.append(ScanStep(upset_prob=u, ks=ks, accepted=ks.p_value >= threshold))
-    accepted = [s.upset_prob for s in steps if s.accepted]
-    return ScanResult(
-        steps=tuple(steps),
-        threshold=threshold,
-        min_accepted=min(accepted) if accepted else None,
-        max_accepted=max(accepted) if accepted else None,
-    )
+    return ScanResult(steps=tuple(steps), threshold=threshold)
 
 
 def _direct_scan(reference, n, step):
@@ -504,6 +496,15 @@ class TestScanCrMatchesDirectSweeps:
             n = reference.size
             want = _scan_against(reference, sweeps[n].__getitem__, 0.01)
             assert scan_cr(reference, n, step=0.01) == want
+
+    @pytest.mark.parametrize("league,counts", [("soccer", 15), ("mini", 7)])
+    def test_one_lattice_count_per_tie_pattern(self, league, counts):
+        # 500 grid points, but a KS p-value depends only on where the pooled
+        # sample's tie runs end and on the distance, so few distinct counts
+        reference = _league_sample(league)
+        stats._permutation_p.cache_clear()
+        scan_cr(reference, reference.size, step=0.001)
+        assert stats._permutation_p.cache_info().misses == counts
 
     def test_soccer_sweeps_only_undecided_points(self, monkeypatch):
         cr = EmpiricalSample.from_win_probs(

@@ -11,18 +11,16 @@ league and tour data the toolkit is meant to ingest:
   with some pairs tied and some that never met.
 
 Expected outputs in data/expected/ come from two routes.  The 8-team
-counts are produced by the standalone bracket enumeration in this file,
-which shares no code with the library.  The 16-player fixtures are far
-too large to enumerate (638,512,875 draws), so their expected values
-are produced by the library itself and serve as regression pins rather
-than independent checks; the library's counting is cross-validated
-against enumeration at small sizes in the test suite.
+counts are produced by the brute-force bracket enumeration in
+tests/oracle.py, which shares no code with the library.  The 16-player
+fixtures are far too large to enumerate (638,512,875 draws), so their
+expected values are produced by the library itself and serve as
+regression pins rather than independent checks; the library's counting
+is cross-validated against enumeration at small sizes in the test suite.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
 import sys
 from pathlib import Path
 
@@ -30,6 +28,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from drawfix import (  # noqa: E402
     HeadToHeadRecord,
@@ -47,7 +46,10 @@ from drawfix import (  # noqa: E402
     write_ranks,
 )
 from drawfix.crmodel import average_upset_probability  # noqa: E402
+from drawfix.ingest import write_json  # noqa: E402
 from drawfix.stats import EmpiricalSample, scan_cr  # noqa: E402
+
+import oracle  # noqa: E402
 
 SEED = 20250822
 DATA = ROOT / "data"
@@ -73,40 +75,6 @@ TENNIS_PLAYERS = [
     "Marek Zielinski", "Nico Verhoeven", "Oskar Lindt", "Pavel Cermak",
     "Quentin Faure",
 ]
-
-
-# --- independent bracket enumeration (mirrors nothing in the library) ---
-
-
-def enumerate_brackets(players):
-    players = sorted(players)
-    if len(players) == 1:
-        return [players[0]]
-    first, rest = players[0], players[1:]
-    half = len(players) // 2
-    out = []
-    for mates in itertools.combinations(rest, half - 1):
-        left = [first, *mates]
-        right = [p for p in rest if p not in mates]
-        for lt in enumerate_brackets(left):
-            for rt in enumerate_brackets(right):
-                out.append((lt, rt))
-    return out
-
-
-def bracket_champion(tree, beats):
-    if isinstance(tree, int):
-        return tree
-    a = bracket_champion(tree[0], beats)
-    b = bracket_champion(tree[1], beats)
-    return a if beats[a][b] else b
-
-
-def enumerated_counts(n, beats):
-    counts = [0] * n
-    for tree in enumerate_brackets(range(n)):
-        counts[bracket_champion(tree, beats)] += 1
-    return counts
 
 
 # --- fixture generation ---
@@ -165,12 +133,6 @@ def make_tennis(rng, players):
     return records
 
 
-def write_expected(path, doc):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def main() -> None:
     rng = np.random.default_rng(SEED)
     DATA.mkdir(exist_ok=True)
@@ -182,7 +144,7 @@ def main() -> None:
     write_ranks(DATA / "soccer_ranks.csv", RankingTable(names=tuple(SOCCER_TEAMS)))
     det, prob = soccer_to_tournaments(season, RankingTable(names=tuple(SOCCER_TEAMS)))
     report = count_winning_draws(det)
-    write_expected(
+    write_json(
         DATA / "expected" / "soccer_counts.json",
         {
             "total_draws": report.total_draws,
@@ -190,19 +152,18 @@ def main() -> None:
         },
     )
     vector = exact_uniform_win_probs(prob)
-    write_expected(
+    write_json(
         DATA / "expected" / "soccer_winprobs.json",
         {"win_probs": {name: p for name, p in zip(SOCCER_TEAMS, vector.entries)}},
     )
     reference = EmpiricalSample.from_win_probs(vector)
-    scan = scan_cr(reference, 16, step=0.01, threshold=0.05,
-                   reference_avg_upset=average_upset_probability(prob))
-    write_expected(
+    scan = scan_cr(reference, 16, step=0.01, threshold=0.05)
+    write_json(
         DATA / "expected" / "soccer_scan.json",
         {
             "step": 0.01,
             "threshold": 0.05,
-            "avg_upset": scan.reference_avg_upset,
+            "avg_upset": average_upset_probability(prob),
             "min_accepted": scan.min_accepted,
             "max_accepted": scan.max_accepted,
         },
@@ -213,8 +174,8 @@ def main() -> None:
     write_matches(DATA / "mini_matches.csv", mini)
     write_ranks(DATA / "mini_ranks.csv", RankingTable(names=tuple(MINI_TEAMS)))
     mini_det, _ = soccer_to_tournaments(mini, RankingTable(names=tuple(MINI_TEAMS)))
-    counts = enumerated_counts(8, mini_det.beats)
-    write_expected(
+    counts = oracle.count_by_winner(8, mini_det.beats)
+    write_json(
         DATA / "expected" / "mini_counts.json",
         {
             "total_draws": sum(counts),
@@ -232,7 +193,7 @@ def main() -> None:
     assert kings(tdet) == (0,)
     trimmed = drop_player(tdet, 0)
     treport = count_winning_draws(trimmed)
-    write_expected(
+    write_json(
         DATA / "expected" / "tennis_counts.json",
         {
             "dropped": TENNIS_PLAYERS[0],
