@@ -5,8 +5,9 @@ Usage, from the root of a checkout:
     python tools/bench_cli.py [--baseline DIR] [--runs N] [--output FILE]
 
 Every case is one command of the benchmark's ``cli`` workload on the
-bundled fixtures, or ``scan`` on the soccer season at steps 0.01 (the
-default) and 0.001.  Each run starts one fresh process per case and
+bundled fixtures, ``count`` on the soccer season with each ``--stats``
+value, or ``scan`` on the soccer season at steps 0.01 (the default) and
+0.001.  Each run starts one fresh process per case and
 tree, from that checkout's root with its ``src/`` on PYTHONPATH; the
 trees take turns, and the side that goes first alternates from run to
 run.  A run records the process's wall time, seen from outside, and its
@@ -45,6 +46,8 @@ CASES = {
     "kings": ["kings", *TENNIS],
     "gen-cr": ["gen-cr", "--players", "16", "--upset-prob", "0.3"],
     "count": ["count", "--stats", "none", *SOCCER],
+    "count-first": ["count", "--stats", "first", *SOCCER],
+    "count-all": ["count", "--stats", "all", *SOCCER],
     "fix": ["fix", *SOCCER, "--target", "Alderton Athletic"],
     "fix-none": ["fix", *SOCCER, "--target", "Oakhurst Rangers"],
     "winprob-exact": ["winprob", "--mode", "exact", *SOCCER],
