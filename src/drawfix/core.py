@@ -26,7 +26,6 @@ __all__ = [
     "canonicalize",
     "random_draw",
     "simulate",
-    "draw_win_probabilities",
 ]
 
 RngLike = "int | np.random.Generator"
@@ -350,13 +349,3 @@ def bracket_survival(probs: np.ndarray, leaves: np.ndarray) -> np.ndarray:
         out[start:start + m] = blocks[0]
     return out
 
-
-def draw_win_probabilities(draw: Draw, t: ProbabilisticTournament) -> np.ndarray:
-    """Probability that each player wins this specific draw.
-
-    The returned vector is indexed by player id and sums to 1 (within
-    accumulation error).
-    """
-    if draw.n != t.n:
-        raise ValueError(f"draw has {draw.n} leaves but tournament has {t.n} players")
-    return bracket_survival(t.probs, np.array([draw.leaves], dtype=np.intp))[0]

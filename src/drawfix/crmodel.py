@@ -2,8 +2,7 @@
 
 Every match between a higher-ranked and a lower-ranked player is an
 independent coin flip in which the favourite wins with probability
-1 - upset_prob.  The model is a deterministic probability matrix;
-sample_deterministic draws concrete outcome relations from it.
+1 - upset_prob.  The model is a deterministic probability matrix.
 """
 from __future__ import annotations
 
@@ -11,18 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DeterministicTournament,
-    PlayerTable,
-    ProbabilisticTournament,
-    as_rng,
-    require_model_size,
-)
+from .core import PlayerTable, ProbabilisticTournament, require_model_size
 
 __all__ = [
     "CrParams",
     "generate_cr",
-    "sample_deterministic",
     "average_upset_probability",
 ]
 
@@ -56,22 +48,6 @@ def generate_cr(params: CrParams) -> ProbabilisticTournament:
     p[iu, ju] = 1.0 - u  # id order is rank order, so i < j means i is ranked higher
     p[ju, iu] = u
     return ProbabilisticTournament(players=PlayerTable.default(n), probs=p)
-
-
-def sample_deterministic(t: ProbabilisticTournament, rng) -> DeterministicTournament:
-    """Flip every pair independently according to its probability.
-
-    Pairs are drawn in fixed row-major upper-triangle order, so a seeded
-    generator reproduces the same relation exactly.
-    """
-    gen = as_rng(rng)
-    n = t.n
-    iu, ju = np.triu_indices(n, 1)
-    wins = gen.random(iu.size) < t.probs[iu, ju]
-    beats = np.zeros((n, n), dtype=bool)
-    beats[iu, ju] = wins
-    beats[ju, iu] = ~wins
-    return DeterministicTournament(players=t.players, beats=beats)
 
 
 def average_upset_probability(t: ProbabilisticTournament) -> float:

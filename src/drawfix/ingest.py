@@ -117,10 +117,6 @@ class RankingTable:
         if len(set(self.names)) != len(self.names):
             raise ValueError("ranked names must be unique")
 
-    @property
-    def n(self) -> int:
-        return len(self.names)
-
     def to_players(self) -> PlayerTable:
         return PlayerTable.from_ordered(self.names)
 

@@ -2,17 +2,18 @@
 
 The two-sample Kolmogorov-Smirnov distance is computed exactly in
 integer units of 1/(n_a*n_b), so tie handling and permutation tests
-never depend on float rounding.  For small pooled samples the p-value
-is the exact permutation probability, one lattice-path count over the
-sorted pooled sample with ties kept together, kept per tie pattern so a
-scan repeats none of them; large samples use the
-asymptotic Kolmogorov distribution, which is approximate for 16-point
-samples and is evaluated by two short series in ``math``.
+never depend on float rounding.  The pooled size alone picks the
+p-value.  Up to 32 values it is the exact permutation probability, one
+lattice-path count over the sorted pooled sample with ties kept
+together, kept per tie pattern so a scan repeats none of them.  Larger
+samples use the asymptotic Kolmogorov distribution, evaluated by two
+short series in ``math``.
 
 The upset-model scan scores its whole grid with an O(n^2) recurrence
 over ranks and never runs a subset sweep.  Grid points whose KS result
 the recurrence's float rounding could change run the same recurrence in
-exact rational arithmetic.
+exact rational arithmetic.  One KS routine scores a single pair of
+samples and the whole grid, as one array of model rows.
 """
 from __future__ import annotations
 
@@ -77,9 +78,11 @@ class EmpiricalSample:
 
 
 def _run_ends(vals: np.ndarray) -> np.ndarray:
-    # True at the last entry of each run of equal values in sorted vals;
-    # np.unique would load numpy.ma on first use.
-    return np.append(vals[1:] != vals[:-1], True)
+    # True at the last entry of each run of equal values along the last
+    # axis of sorted vals; np.unique would load numpy.ma on first use.
+    ends = np.ones(vals.shape, dtype=bool)
+    ends[..., :-1] = vals[..., 1:] != vals[..., :-1]
+    return ends
 
 
 def ecdf_points(s: EmpiricalSample) -> list[tuple[float, float]]:
@@ -108,13 +111,6 @@ class KsResult:
     p_value: float
     method: str
     resamples: int | None = None
-
-
-def _distance_int(a: np.ndarray, b: np.ndarray, pooled: np.ndarray) -> int:
-    # sup |F_a - F_b| in exact units of 1/(n_a n_b)
-    ca = np.searchsorted(a, pooled, side="right")
-    cb = np.searchsorted(b, pooled, side="right")
-    return int(np.abs(ca * b.size - cb * a.size).max())
 
 
 @lru_cache(maxsize=1024)
@@ -151,32 +147,37 @@ def _kolmogorov_sf(lam: float) -> float:
     return 1.0 - sqrt(2 * pi) / lam * sum(terms)
 
 
-def ks_two_sample(a: EmpiricalSample, b: EmpiricalSample, method: str = "auto") -> KsResult:
+def _ks_rows(a: np.ndarray, bs: np.ndarray) -> list[KsResult]:
+    # The KS test of sorted sample a against each sorted row of bs.  At a
+    # tie-run end after k pooled values, a holds ca of them and the row
+    # k - ca, so |F_a - F_b| there is |ca (na + nb) - k na| / (na nb).
+    na, nb = a.size, bs.shape[1]
+    m = na + nb
+    pooled = np.sort(np.concatenate([np.broadcast_to(a, (len(bs), na)), bs], axis=1), axis=1)
+    ends = _run_ends(pooled)
+    gap = np.abs(np.searchsorted(a, pooled, side="right") * m - np.arange(1, m + 1) * na)
+    results = []
+    for run_ends, d_int in zip(ends.tolist(), (gap * ends).max(axis=1).tolist()):
+        d = d_int / (na * nb)
+        if m <= 32:
+            p = _permutation_p(tuple(run_ends), na, nb, d_int)
+            results.append(KsResult(statistic=d, p_value=p, method="permutation"))
+        else:
+            p = min(1.0, max(0.0, _kolmogorov_sf(sqrt(na * nb / m) * d)))
+            results.append(KsResult(statistic=d, p_value=p, method="asymptotic"))
+    return results
+
+
+def ks_two_sample(a: EmpiricalSample, b: EmpiricalSample) -> KsResult:
     """Two-sample Kolmogorov-Smirnov test.
 
-    ``method`` is ``"auto"`` (permutation when the pooled size is at
-    most 32, asymptotic otherwise), ``"permutation"``, or
-    ``"asymptotic"``.  The permutation p-value is exact for any sizes
-    and ties: it counts the splits of the pooled sample whose distance
-    reaches the observed one.  The asymptotic p-value is Kolmogorov's
-    limiting distribution at sqrt(n_a n_b / (n_a + n_b)) * D.
+    The pooled size alone picks the p-value.  Up to 32 values it is the
+    exact permutation p-value, for any sizes and ties: the share of
+    splits of the pooled sample whose distance reaches the observed one.
+    Above that it is Kolmogorov's limiting distribution at
+    sqrt(n_a n_b / (n_a + n_b)) * D.
     """
-    av = np.array(a.values)
-    bv = np.array(b.values)
-    na, nb = av.size, bv.size
-    pooled = np.sort(np.concatenate([av, bv]))
-    d_int = _distance_int(av, bv, pooled)
-    d = d_int / (na * nb)
-
-    if method == "auto":
-        method = "permutation" if na + nb <= 32 else "asymptotic"
-    if method == "asymptotic":
-        p = _kolmogorov_sf(sqrt(na * nb / (na + nb)) * d)
-        return KsResult(statistic=d, p_value=min(1.0, max(0.0, p)), method="asymptotic")
-    if method != "permutation":
-        raise ValueError(f"unknown method: {method!r}")
-    p = _permutation_p(tuple(_run_ends(pooled).tolist()), na, nb, d_int)
-    return KsResult(statistic=d, p_value=p, method="permutation")
+    return _ks_rows(np.array(a.values), np.array([b.values]))[0]
 
 
 @dataclass(frozen=True)
@@ -460,7 +461,7 @@ def scan_cr(
 
     For every upset probability on the grid {step, 2*step, ..., 0.5}
     the exact model win probabilities for n players are computed and a
-    KS test (module defaults) is run against the reference; a grid point
+    KS test is run against the reference; a grid point
     is accepted when its p-value reaches ``threshold``.  The reference
     holds one win probability per player, so its size must equal n.
     ``step`` must lie in [MIN_SCAN_STEP, 0.5], so the grid has at most
@@ -512,8 +513,6 @@ def scan_cr(
 
         exact_us = np.array([Fraction(u) for u in np.array(grid)[undecided]], dtype=object)
         model[undecided] = np.sort(_cr_rank_probs(n, exact_us).astype(float), axis=1)
-    steps = []
-    for u, values in zip(grid, model):
-        ks = ks_two_sample(reference, EmpiricalSample(values=tuple(values)))
-        steps.append(ScanStep(upset_prob=u, ks=ks, accepted=ks.p_value >= threshold))
-    return ScanResult(steps=tuple(steps), threshold=threshold)
+    steps = tuple(ScanStep(upset_prob=u, ks=ks, accepted=ks.p_value >= threshold)
+                  for u, ks in zip(grid, _ks_rows(ref, model)))
+    return ScanResult(steps=steps, threshold=threshold)

@@ -54,10 +54,10 @@ class WinProbVector:
             raise ValueError(f"unknown method tag: {self.method}")
         if (self.method == "sampled") != (self.samples is not None):
             raise ValueError("sample count goes with the sampled method only")
-        if any(e < 0 or e > 1 for e in self.entries):
+        if any(not 0 <= e <= 1 for e in self.entries):
             raise ValueError("entries must be probabilities")
         tol = 1e-9 if self.method == "exact" else 1e-6
-        if abs(sum(self.entries) - 1.0) > tol:
+        if not abs(sum(self.entries) - 1.0) <= tol:
             raise ValueError("entries must sum to 1")
 
     @property

@@ -13,12 +13,11 @@ from drawfix import (
     ProbabilisticTournament,
     ResourceLimitError,
     canonicalize,
-    draw_win_probabilities,
     num_draws,
     random_draw,
     simulate,
 )
-from drawfix.core import require_bracket_size, require_exact_size
+from drawfix.core import bracket_survival, require_bracket_size, require_exact_size
 
 import oracle
 
@@ -245,7 +244,7 @@ class TestDrawWinProbabilities:
             for _ in range(10):
                 t = random_probabilistic(n, rng)
                 draw = random_draw(n, rng)
-                got = draw_win_probabilities(draw, t)
+                got = bracket_survival(t.probs, np.array([draw.leaves]))[0]
                 want = oracle.tree_win_probs(trees[draw.leaves], t.probs)
                 for player, p in want.items():
                     assert got[player] == pytest.approx(p, abs=1e-12)
@@ -253,6 +252,6 @@ class TestDrawWinProbabilities:
 
     def test_deterministic_matrix_reduces_to_simulate(self, cycle4):
         draw = Draw(leaves=(0, 1, 2, 3))
-        probs = draw_win_probabilities(draw, cycle4.to_probabilistic())
+        probs = bracket_survival(cycle4.to_probabilistic().probs, np.array([draw.leaves]))[0]
         winner = simulate(draw, cycle4)
         assert probs[winner] == pytest.approx(1.0)

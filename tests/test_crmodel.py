@@ -8,7 +8,6 @@ from drawfix import (
     ProbabilisticTournament,
     average_upset_probability,
     generate_cr,
-    sample_deterministic,
 )
 
 
@@ -57,31 +56,6 @@ class TestGenerate:
         for u in (0.05, 0.25, 0.5):
             t = generate_cr(CrParams(n=8, upset_prob=u))
             assert average_upset_probability(t) == pytest.approx(u)
-
-
-class TestSampleDeterministic:
-    def test_seeded_reproducibility(self):
-        t = generate_cr(CrParams(n=8, upset_prob=0.4))
-        a = sample_deterministic(t, 9)
-        b = sample_deterministic(t, 9)
-        assert np.array_equal(a.beats, b.beats)
-
-    def test_complete_and_antisymmetric(self):
-        t = generate_cr(CrParams(n=16, upset_prob=0.5))
-        det = sample_deterministic(t, 1)
-        off = ~np.eye(16, dtype=bool)
-        assert np.array_equal(det.beats[off], ~det.beats.T[off])
-
-    def test_upset_frequency_tracks_parameter(self):
-        t = generate_cr(CrParams(n=16, upset_prob=0.3))
-        rng = np.random.default_rng(77)
-        upsets = pairs = 0
-        for _ in range(40):
-            det = sample_deterministic(t, rng)
-            iu, ju = np.triu_indices(16, 1)
-            upsets += int(det.beats[ju, iu].sum())
-            pairs += iu.size
-        assert upsets / pairs == pytest.approx(0.3, abs=0.02)
 
 
 class TestAverageUpset:

@@ -1,12 +1,13 @@
 """Property tests over random relations and probability matrices.
 
-Find and enumerate share one descent, and the single-draw and batched
-bracket evaluators share one survival loop; these properties pin the
+Find and enumerate share one descent, and a single bracket is scored
+as a one-row batch of the survival loop; these properties pin the
 shared paths to each other, to the independent counting route and to the
 oracle's tree walk.  The subset sweep is pinned to the per-block formula
 its half products replaced.  The choice-point recurrence is pinned to the
 exhausted descent it accounts for, the KS permutation p-value, one
-lattice-path count, to full enumeration of the splits, and the upset
+lattice-path count, to full enumeration of the splits (one sample
+against many rows at once as well as against one), and the upset
 model's rank recurrence to full enumeration of the draws and, in float,
 to its own exact rational run within the error bound the scan relies on.
 """
@@ -26,7 +27,6 @@ from drawfix import (
     ProbabilisticTournament,
     canonicalize,
     count_winning_draws,
-    draw_win_probabilities,
     enumerate_winning_draws,
     enumeration_choice_points,
     find_winning_draw,
@@ -36,7 +36,13 @@ from drawfix import (
 )
 from drawfix._subsetdp import sweep
 from drawfix.core import bracket_survival
-from drawfix.stats import _RANK_PROB_TOL, MIN_SCAN_STEP, _cr_rank_probs
+from drawfix.stats import (
+    _RANK_PROB_TOL,
+    MIN_SCAN_STEP,
+    _cr_rank_probs,
+    _kolmogorov_sf,
+    _ks_rows,
+)
 
 import oracle
 from conftest import check_fixing_conditions, random_deterministic, reference_sweep
@@ -138,7 +144,7 @@ def test_single_draw_is_a_batch_row(case):
     leaves = np.array([d.leaves for d in draws], dtype=np.intp)
     batch = bracket_survival(t.probs, leaves)
     for d, surv in zip(draws, batch):
-        assert np.array_equal(draw_win_probabilities(d, t), surv)
+        assert np.array_equal(bracket_survival(t.probs, np.array([d.leaves]))[0], surv)
 
 
 @SETTINGS
@@ -159,9 +165,48 @@ TIED_SAMPLES = st.lists(st.integers(1, 4).map(float), min_size=1, max_size=6)
 @SETTINGS
 @given(TIED_SAMPLES, TIED_SAMPLES)
 def test_ks_permutation_p_matches_enumeration(a, b):
-    res = ks_two_sample(EmpiricalSample.from_values(a), EmpiricalSample.from_values(b),
-                        method="permutation")
+    res = ks_two_sample(EmpiricalSample.from_values(a), EmpiricalSample.from_values(b))
     assert res.p_value == oracle.ks_permutation_p(a, b)
+
+
+@st.composite
+def ks_row_sets(draw):
+    """A sample and 2-4 rows of one other size, tied within and across.
+
+    The pooled size is either small enough to enumerate every split or
+    past the permutation limit of 32.
+    """
+    na = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        nb = draw(st.integers(1, 6).filter(lambda k: k != na))
+    else:
+        nb = draw(st.integers(33 - na, 40))
+    value = st.integers(1, 4).map(float)
+    a = sorted(draw(st.lists(value, min_size=na, max_size=na)))
+    rows = draw(st.lists(st.lists(value, min_size=nb, max_size=nb).map(sorted),
+                         min_size=2, max_size=4))
+    return a, rows
+
+
+@SETTINGS
+@given(ks_row_sets())
+def test_ks_rows_score_each_row_against_enumeration(case):
+    a, rows = case
+    got = _ks_rows(np.array(a), np.array(rows))
+    sample = EmpiricalSample.from_values(a)
+    assert got == [ks_two_sample(sample, EmpiricalSample.from_values(b)) for b in rows]
+    na, nb = len(a), len(rows[0])
+    m = na + nb
+    for b, res in zip(rows, got):
+        d = oracle.ks_statistic(a, b)
+        assert res.statistic == pytest.approx(d, abs=1e-12)
+        if m <= 32:
+            assert res.method == "permutation"
+            assert res.p_value == oracle.ks_permutation_p(a, b)
+        else:
+            assert res.method == "asymptotic"
+            assert res.p_value == pytest.approx(_kolmogorov_sf((na * nb / m) ** 0.5 * d),
+                                                abs=1e-12)
 
 
 @SETTINGS

@@ -10,7 +10,9 @@ from drawfix import cli, core, crmodel, ingest, solver, stats, winprob
 
 LAYERS = (core, crmodel, ingest, solver, stats, winprob)
 
-# drawfix.__all__ before read_tournaments joined it.
+# drawfix.__all__ before read_tournaments joined it, less the two
+# functions that only tests called (draw_win_probabilities and
+# sample_deterministic).
 EARLIER_NAMES = [
     "CrParams", "DeterministicTournament", "Draw", "DrawStream",
     "EmpiricalSample", "FindResult", "FitResult", "HeadToHeadRecord",
@@ -20,13 +22,12 @@ EARLIER_NAMES = [
     "ScanResult", "ScanStep", "SearchStats", "UndefinedTestError",
     "WinCountReport", "WinProbVector", "__version__",
     "average_upset_probability", "canonicalize", "ccdf_points",
-    "condorcet_winner", "count_winning_draws", "draw_win_probabilities",
-    "drop_player", "ecdf_points", "enumerate_winning_draws",
+    "condorcet_winner", "count_winning_draws", "drop_player", "ecdf_points", "enumerate_winning_draws",
     "enumeration_choice_points", "exact_uniform_win_probs",
     "find_winning_draw", "fit_lognormal", "fit_power_law", "generate_cr",
     "kings", "ks_two_sample", "likelihood_ratio_test", "num_draws",
     "random_draw", "read_h2h", "read_matches", "read_prob_matrix",
-    "read_ranks", "sample_deterministic", "sample_uniform_win_probs",
+    "read_ranks", "sample_uniform_win_probs",
     "scan_cr", "simulate", "soccer_to_tournaments", "tennis_to_tournaments",
     "write_h2h", "write_matches", "write_prob_matrix", "write_ranks",
 ]

@@ -72,14 +72,13 @@ class TestKsStatistic:
             a = list(rng.integers(0, 6, size=na) + 0.5)  # plenty of ties
             b = list(rng.integers(0, 6, size=nb) + 0.5)
             res = ks_two_sample(EmpiricalSample.from_values(a),
-                                EmpiricalSample.from_values(b),
-                                method="asymptotic")
+                                EmpiricalSample.from_values(b))
             assert res.statistic == pytest.approx(oracle.ks_statistic(a, b),
                                                   abs=1e-12)
 
     def test_identical_samples(self):
         s = EmpiricalSample.from_values([1.0, 2.0, 3.0])
-        res = ks_two_sample(s, s, method="permutation")
+        res = ks_two_sample(s, s)
         assert res.statistic == 0.0
         assert res.p_value == 1.0
 
@@ -92,8 +91,7 @@ class TestKsPermutation:
             a = list(rng.random(na))
             b = list(rng.random(nb) * 1.5)
             res = ks_two_sample(EmpiricalSample.from_values(a),
-                                EmpiricalSample.from_values(b),
-                                method="permutation")
+                                EmpiricalSample.from_values(b))
             assert res.p_value == pytest.approx(oracle.ks_permutation_p(a, b),
                                                 abs=1e-12)
             assert res.resamples is None
@@ -104,8 +102,7 @@ class TestKsPermutation:
             a = list(rng.integers(0, 4, size=5) * 1.0 + 1)
             b = list(rng.integers(0, 4, size=4) * 1.0 + 1)
             res = ks_two_sample(EmpiricalSample.from_values(a),
-                                EmpiricalSample.from_values(b),
-                                method="permutation")
+                                EmpiricalSample.from_values(b))
             assert res.p_value == pytest.approx(oracle.ks_permutation_p(a, b),
                                                 abs=1e-12)
 
@@ -114,8 +111,7 @@ class TestKsPermutation:
         a = list(rng.random(8))
         b = list(rng.random(8) + 0.2)
         res = ks_two_sample(EmpiricalSample.from_values(a),
-                            EmpiricalSample.from_values(b),
-                            method="permutation")
+                            EmpiricalSample.from_values(b))
         ref = scipy.stats.ks_2samp(a, b, method="exact")
         assert res.statistic == pytest.approx(ref.statistic, abs=1e-12)
         assert res.p_value == pytest.approx(ref.pvalue, abs=1e-9)
@@ -141,8 +137,7 @@ class TestKsAsymptotic:
         a = list(rng.random(60))
         b = list(rng.random(80) + 0.1)
         res = ks_two_sample(EmpiricalSample.from_values(a),
-                            EmpiricalSample.from_values(b),
-                            method="asymptotic")
+                            EmpiricalSample.from_values(b))
         en = math.sqrt(60 * 80 / 140)
         want = scipy.special.kolmogorov(en * res.statistic)
         assert res.p_value == pytest.approx(want, rel=1e-12)
@@ -526,17 +521,21 @@ class TestScanCrMatchesDirectSweeps:
         sweep = exact_uniform_win_probs(generate_cr(CrParams(n, 0.5))).entries
         assert [v.hex() for v in sweep] == [(1 / n).hex()] * n
         scored = []
-        ks = stats.ks_two_sample
+        ks_rows = stats._ks_rows
 
-        def spy(reference, sample):
-            scored.append(sample.values)
-            return ks(reference, sample)
+        def spy(reference, model):
+            scored.append(model.tolist())
+            return ks_rows(reference, model)
 
-        monkeypatch.setattr(stats, "ks_two_sample", spy)
+        def no_sample(self):
+            raise AssertionError("the scan built an EmpiricalSample")
+
         reference = EmpiricalSample.from_values(np.arange(1.0, n + 1) / (n * (n + 1) / 2))
+        monkeypatch.setattr(stats, "_ks_rows", spy)
+        monkeypatch.setattr(EmpiricalSample, "__post_init__", no_sample)
         scan_cr(reference, n, step=0.5)
         # every match is a coin flip, so every player wins with exactly 1/n
-        assert scored == [(1 / n,) * n]
+        assert scored == [[[1 / n] * n]]
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_guard_holds_for_any_error_within_the_bound(self, n, monkeypatch):

@@ -11,6 +11,7 @@ from drawfix import (
     PlayerTable,
     ProbabilisticTournament,
     ResourceLimitError,
+    WinProbVector,
     count_winning_draws,
     exact_uniform_win_probs,
     generate_cr,
@@ -20,6 +21,22 @@ from drawfix import (
 from drawfix.winprob import _BATCH, MAX_SAMPLES, MAX_WORKERS, _per_draw_exact_batch
 
 import oracle
+
+
+class TestWinProbVector:
+    @pytest.mark.parametrize("entries,method,samples", [
+        ((float("nan"),), "exact", None),
+        ((float("nan"), 1.0), "sampled", 5),
+        ((1.5, -0.5), "exact", None),
+    ])
+    def test_rejects_entries_outside_unit_interval(self, entries, method, samples):
+        # NaN compares false both ways, so it must fail the range check too
+        with pytest.raises(ValueError, match="entries must be probabilities"):
+            WinProbVector(entries=entries, method=method, samples=samples)
+
+    def test_rejects_entries_not_summing_to_one(self):
+        with pytest.raises(ValueError, match="entries must sum to 1"):
+            WinProbVector(entries=(0.25, 0.25), method="exact")
 
 
 class TestExact:
