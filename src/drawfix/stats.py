@@ -461,9 +461,9 @@ def scan_cr(
 
     For every upset probability on the grid {step, 2*step, ..., 0.5}
     the exact model win probabilities for n players are computed and a
-    KS test is run against the reference; a grid point
-    is accepted when its p-value reaches ``threshold``.  The reference
-    holds one win probability per player, so its size must equal n.
+    KS test is run against the reference; a grid point is accepted when
+    its p-value reaches ``threshold``.  The reference holds one win
+    probability per player, so its size must equal n.
     ``step`` must lie in [MIN_SCAN_STEP, 0.5], so the grid has at most
     500 points.
 
