@@ -1,4 +1,4 @@
-from drawfix.cli import main
+from drawfix.cli import run
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

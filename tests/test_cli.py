@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -21,6 +22,7 @@ from drawfix import (
     simulate,
     write_prob_matrix,
 )
+from drawfix import cli
 from drawfix.cli import main
 
 DATA = Path(__file__).parent.parent / "data"
@@ -442,6 +444,41 @@ class TestDatasetInputs:
 def _cli_env():
     src = Path(__file__).resolve().parent.parent / "src"
     return dict(os.environ, PYTHONPATH=str(src))
+
+
+def test_run_freezes_the_heap_then_returns_mains_code(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    assert cli.run() == 3
+    assert calls == ["freeze", "main"]
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    before = gc.get_freeze_count()
+    assert main(["kings", "--input", str(DATA / "tennis_h2h.csv"),
+                 "--ranks", str(DATA / "tennis_ranks.csv")]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_module_entry_prints_the_version():
+    out = subprocess.run([sys.executable, "-m", "drawfix", "--version"], env=_cli_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "drawfix 0.1.0\n", "")
+
+
+def test_module_entry_output_is_pinned(tmp_path):
+    # The JSON metadata records the input paths, so run from the repository
+    # root with the paths the pin was written with.
+    out = tmp_path / "out.json"
+    argv = [sys.executable, "-m", "drawfix", "count", "--input", "data/mini_matches.csv",
+            "--ranks", "data/mini_ranks.csv", "--stats", "none", "--format", "json",
+            "--output", str(out)]
+    proc = subprocess.run(argv, env=_cli_env(), cwd=DATA.parent, capture_output=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    pin = Path(__file__).parent / "golden" / "mini_count-stats-none.json"
+    assert out.read_bytes() == pin.read_bytes()
 
 
 def test_cli_import_leaves_scipy_unloaded():

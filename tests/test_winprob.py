@@ -1,5 +1,6 @@
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from drawfix import (
     num_draws,
     sample_uniform_win_probs,
 )
+from drawfix.stats import _cr_rank_probs
 from drawfix.winprob import _BATCH, MAX_SAMPLES, MAX_WORKERS, _per_draw_exact_batch
 
 import oracle
@@ -60,6 +62,14 @@ class TestExact:
         for n in (4, 8, 16):
             vector = exact_uniform_win_probs(random_probabilistic(n, rng))
             assert np.asarray(vector.entries).sum() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("u", [0.001, 0.01, 0.1, 0.3, 0.4, 0.5])
+    def test_sixteen_player_sweep_matches_exact_ranks(self, u):
+        # The float sweep against the Fraction rank recurrence; generate_cr
+        # gives player r the rank with r better players.
+        got = exact_uniform_win_probs(generate_cr(CrParams(n=16, upset_prob=u))).entries
+        want = _cr_rank_probs(16, np.array([Fraction(u)], dtype=object))[0]
+        assert max(abs(Fraction(g) - w) / w for g, w in zip(got, want)) <= 1e-12
 
     def test_degenerate_matrix_reproduces_counts(self):
         # a 0/1 matrix collapses the expectation to counting
