@@ -27,7 +27,7 @@ from drawfix import (
     simulate,
 )
 
-players = PlayerTable.from_ordered(["Ada", "Bo", "Cy", "Dee"])
+players = PlayerTable(["Ada", "Bo", "Cy", "Dee"])
 beats = np.zeros((4, 4), dtype=bool)
 beats[0, 1] = beats[1, 2] = beats[2, 0] = True          # the cycle
 beats[0, 3] = beats[1, 3] = beats[2, 3] = True          # Dee loses to all

@@ -143,20 +143,19 @@ def cmd_fix(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     det, _ = read_tournaments(args.input, args.ranks, args.season)
-    players = det.players
     start = time.perf_counter()
     report = count_winning_draws(det)
     elapsed = time.perf_counter() - start
     nodes_all = enumeration_choice_points(det) if args.stats == "all" else None
     rows = []
-    for rank, pid in enumerate(players.by_rank(), start=1):
+    for pid, name in enumerate(det.players.names):
         nodes_first = None
         if args.stats in ("first", "all"):
             nodes_first = find_winning_draw(det, pid).stats.choice_points
         rows.append(
             {
-                "rank": rank,
-                "name": players.names[pid],
+                "rank": pid + 1,
+                "name": name,
                 "count": report.counts[pid],
                 "share": report.shares[pid],
                 "nodes_first": nodes_first,
@@ -183,7 +182,6 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_winprob(args: argparse.Namespace) -> int:
     _, prob = read_tournaments(args.input, args.ranks, args.season)
-    players = prob.players
     start = time.perf_counter()
     if args.mode == "exact":
         vector = exact_uniform_win_probs(prob)
@@ -196,12 +194,10 @@ def cmd_winprob(args: argparse.Namespace) -> int:
             workers=args.workers,
         )
     elapsed = time.perf_counter() - start
-    rows = []
-    for rank, pid in enumerate(players.by_rank(), start=1):
-        rows.append(
-            {"rank": rank, "name": players.names[pid],
-             "win_prob": float(vector.entries[pid])}
-        )
+    rows = [
+        {"rank": pid + 1, "name": name, "win_prob": float(vector.entries[pid])}
+        for pid, name in enumerate(prob.players.names)
+    ]
     print(f"method: {vector.method}"
           + (f" ({vector.samples:,} samples)" if vector.samples else ""))
     print(f"elapsed: {elapsed:.3f}s")

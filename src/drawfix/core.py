@@ -1,5 +1,8 @@
 """Players, pairwise comparisons, and balanced knockout draws.
 
+Players are ids 0..n-1 in rank order: id 0 has rank 1, the strongest,
+and every comparison of ranks is a comparison of ids.
+
 A draw over n = 2^c players is a full binary bracket tree, kept in a
 canonical leaf order: at every internal node, the half that contains the
 smallest player id comes first.  Canonical leaf sequences are in
@@ -89,40 +92,25 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PlayerTable:
-    """Roster of n players identified by ids 0..n-1.
-
-    ``ranks`` is a permutation of 1..n, rank 1 being the strongest.
-    Builders in this package assign ids in rank order (id 0 has rank 1),
-    but any permutation is accepted.
-    """
+    """Roster of n players listed best first: id i has rank i + 1."""
 
     names: tuple[str, ...]
-    ranks: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.names)
-        if n == 0:
+        names = tuple(self.names)
+        object.__setattr__(self, "names", names)
+        if not names:
             raise ValueError("player table must not be empty")
-        if len(self.ranks) != n:
-            raise ValueError("names and ranks must have equal length")
-        if len(set(self.names)) != n:
+        if len(set(names)) != len(names):
             raise ValueError("player names must be unique")
-        if sorted(self.ranks) != list(range(1, n + 1)):
-            raise ValueError(f"ranks must be a permutation of 1..{n}")
 
     @property
     def n(self) -> int:
         return len(self.names)
 
     @classmethod
-    def from_ordered(cls, names: Sequence[str]) -> "PlayerTable":
-        """Build a table from names listed best first (id order = rank order)."""
-        names = tuple(names)
-        return cls(names=names, ranks=tuple(range(1, len(names) + 1)))
-
-    @classmethod
     def default(cls, n: int) -> "PlayerTable":
-        return cls.from_ordered(tuple(f"p{i}" for i in range(n)))
+        return cls(tuple(f"p{i}" for i in range(n)))
 
     def id_of(self, name: str) -> int:
         try:
@@ -131,8 +119,8 @@ class PlayerTable:
             raise ValueError(f"unknown player name: {name!r}") from None
 
     def by_rank(self) -> tuple[int, ...]:
-        """Player ids sorted from rank 1 to rank n."""
-        return tuple(sorted(range(self.n), key=lambda i: self.ranks[i]))
+        """Player ids from rank 1 to rank n, which is id order."""
+        return tuple(range(self.n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,14 +186,10 @@ class ProbabilisticTournament:
         """Threshold at 1/2: i beats j iff probs[i, j] > 0.5.
 
         Exact 0.5 entries are broken in favour of the higher-ranked
-        (smaller rank number) player, so a deterministic reading always
-        exists.
+        player, the smaller id, so a deterministic reading always exists.
         """
         p = self.probs
-        ranks = np.array(self.players.ranks)
-        higher = ranks[:, None] < ranks[None, :]
-        beats = (p > 0.5) | ((p == 0.5) & higher)
-        np.fill_diagonal(beats, False)
+        beats = (p > 0.5) | np.triu(p == 0.5, 1)
         return DeterministicTournament(players=self.players, beats=beats)
 
 

@@ -55,8 +55,5 @@ def average_upset_probability(t: ProbabilisticTournament) -> float:
     n = t.n
     if n < 2:
         raise ValueError("need at least two players")
-    ranks = np.array(t.players.ranks)
     iu, ju = np.triu_indices(n, 1)
-    i_is_favourite = ranks[iu] < ranks[ju]
-    upsets = np.where(i_is_favourite, t.probs[ju, iu], t.probs[iu, ju])
-    return float(upsets.mean())
+    return float(t.probs[ju, iu].mean())  # i < j: j winning is the upset

@@ -14,11 +14,13 @@ row required, names quoted on output):
   h2h.csv       player_a,player_b,a_wins,b_wins
   ranks.csv     rank,name            (rank 1 is the best)
 
+Every reader returns players in rank order, so id i has rank i + 1.
 Probability matrices travel as JSON ({"format": "drawfix-probmatrix/1",
-"names": [...], "ranks": [...], "probs": [[...]]}) or as a square CSV
-with a leading name column; its names are quoted and may hold commas,
-double quotes and line breaks.  Parsers reject unknown headers; integer
-fields must be base-10 digits.
+"names": [...], "ranks": [...], "probs": [[...]]}), whose rows may come
+in any order and are put in rank order as they are read, or as a square
+CSV with a leading name column and rows in rank order; its names are
+quoted and may hold commas, double quotes and line breaks.  Parsers
+reject unknown headers; integer fields must be base-10 digits.
 
 Soccer pairs are decided on aggregate goals over the two legs, away
 goals break ties, and any residual tie goes to the better-ranked team;
@@ -44,7 +46,6 @@ from .core import DeterministicTournament, PlayerTable, ProbabilisticTournament
 __all__ = [
     "MatchRecord",
     "HeadToHeadRecord",
-    "RankingTable",
     "IncompleteDataError",
     "read_matches",
     "write_matches",
@@ -103,22 +104,6 @@ class HeadToHeadRecord:
 # A record list's CSV header is the record's fields in declaration order.
 MATCHES_HEADER = [f.name for f in fields(MatchRecord)]
 H2H_HEADER = [f.name for f in fields(HeadToHeadRecord)]
-
-
-@dataclass(frozen=True)
-class RankingTable:
-    """Names listed from rank 1 downwards."""
-
-    names: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.names:
-            raise ValueError("ranking must not be empty")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("ranked names must be unique")
-
-    def to_players(self) -> PlayerTable:
-        return PlayerTable.from_ordered(self.names)
 
 
 def _int_field(value: str, line: int, column: str) -> int:
@@ -187,17 +172,20 @@ def read_h2h(path) -> list[HeadToHeadRecord]:
     return _parse_records(_csv_rows(_read_text(path), path), path, HeadToHeadRecord)
 
 
-def read_ranks(path) -> RankingTable:
-    seen = {}
+def read_ranks(path) -> PlayerTable:
+    seen, names = {}, set()
     rows = _csv_rows(_read_text(path), path)
     for line, (rank, name) in _data_rows(rows, path, RANKS_HEADER):
         r = _int_field(rank, line, "rank")
         if r in seen:
             raise ValueError(f"{path}: duplicate rank {r}")
+        if name in names:
+            raise ValueError(f"{path}: line {line}: duplicate name {name!r}")
         seen[r] = name
+        names.add(name)
     if sorted(seen) != list(range(1, len(seen) + 1)):
         raise ValueError(f"{path}: ranks must be exactly 1..{len(seen)}")
-    return RankingTable(names=tuple(seen[r] for r in sorted(seen)))
+    return PlayerTable(tuple(seen[r] for r in sorted(seen)))
 
 
 def write_json(path, doc: dict) -> None:
@@ -223,24 +211,24 @@ def write_h2h(path, records: Iterable[HeadToHeadRecord]) -> None:
     write_csv(path, H2H_HEADER, map(astuple, records))
 
 
-def write_ranks(path, ranking: RankingTable) -> None:
+def write_ranks(path, players: PlayerTable) -> None:
     write_csv(
-        path, RANKS_HEADER, ((i + 1, name) for i, name in enumerate(ranking.names))
+        path, RANKS_HEADER, ((i + 1, name) for i, name in enumerate(players.names))
     )
 
 
 def soccer_to_tournaments(
     matches: Sequence[MatchRecord],
-    ranks: RankingTable,
+    players: PlayerTable,
     season: str | None = None,
 ) -> tuple[DeterministicTournament, ProbabilisticTournament]:
     """Build both tournament readings from a double round-robin season.
 
-    Every ranked pair must have exactly one home match each way in the
-    selected season; matches naming unranked teams are rejected.  Pass
-    ``season`` when the match list spans more than one.
+    ``players`` lists the teams best first.  Every ranked pair must have
+    exactly one home match each way in the selected season; matches
+    naming unranked teams are rejected.  Pass ``season`` when the match
+    list spans more than one.
     """
-    players = ranks.to_players()
     seasons = sorted({m.season for m in matches})
     if season is None:
         if len(seasons) > 1:
@@ -297,16 +285,16 @@ def soccer_to_tournaments(
 
 def tennis_to_tournaments(
     h2h: Sequence[HeadToHeadRecord],
-    ranks: RankingTable,
+    players: PlayerTable,
 ) -> tuple[DeterministicTournament, ProbabilisticTournament]:
     """Build both tournament readings from lifetime head-to-head records.
 
-    A pair with no record (or zero meetings) counts as never met, with
-    probability 0.5.  The deterministic reading is the probabilities'
-    ``to_deterministic()``: a tie or a pair that never met goes to the
-    better-ranked player.  Records naming unranked players are rejected.
+    ``players`` lists the players best first.  A pair with no record (or
+    zero meetings) counts as never met, with probability 0.5.  The
+    deterministic reading is the probabilities' ``to_deterministic()``: a
+    tie or a pair that never met goes to the better-ranked player.
+    Records naming unranked players are rejected.
     """
-    players = ranks.to_players()
     record: dict[tuple[int, int], tuple[int, int]] = {}
     for rec in h2h:
         ai = players.id_of(rec.player_a)
@@ -331,7 +319,7 @@ def tennis_to_tournaments(
 
 
 def drop_player(t, player: int):
-    """Remove one player by id, compacting ids and ranks in place order.
+    """Remove one player by id; the players below it move up one id and rank.
 
     Works on either tournament kind and returns the same kind.
     """
@@ -341,11 +329,7 @@ def drop_player(t, player: int):
     if not 0 <= player < players.n:
         raise ValueError(f"no player with id {player}")
     keep = [i for i in range(players.n) if i != player]
-    kept_ranks = [players.ranks[i] for i in keep]
-    new_ranks = tuple(sum(1 for s in kept_ranks if s < r) + 1 for r in kept_ranks)
-    table = PlayerTable(
-        names=tuple(players.names[i] for i in keep), ranks=new_ranks
-    )
+    table = PlayerTable(tuple(players.names[i] for i in keep))
     idx = np.array(keep)
     if isinstance(t, DeterministicTournament):
         return DeterministicTournament(players=table, beats=t.beats[np.ix_(idx, idx)])
@@ -358,15 +342,13 @@ def write_prob_matrix(path, t: ProbabilisticTournament, fmt: str = "json") -> No
         doc = {
             "format": PROB_MATRIX_FORMAT,
             "names": list(t.players.names),
-            "ranks": list(t.players.ranks),
+            "ranks": list(range(1, t.n + 1)),
             "probs": [[float(x) for x in row] for row in t.probs],
         }
         write_json(path, doc)
         return
     if fmt != "csv":
         raise ValueError(f"unknown matrix format: {fmt!r}")
-    if t.players.ranks != tuple(range(1, t.n + 1)):
-        raise ValueError("csv matrices require players listed in rank order")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
         writer.writerow(["name", *t.players.names])
@@ -384,16 +366,24 @@ def _json_matrix(text: str, path) -> ProbabilisticTournament:
     names, ranks, probs = doc.get("names"), doc.get("ranks"), doc.get("probs")
     if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
         raise ValueError(f"{path}: 'names' must be a list of strings")
+    n = len(names)
     if not isinstance(ranks, list) or not all(type(r) is int for r in ranks):
         raise ValueError(f"{path}: 'ranks' must be a list of integers")
+    if sorted(ranks) != list(range(1, n + 1)):
+        raise ValueError(f"{path}: 'ranks' must be a permutation of 1..{n}")
     if not isinstance(probs, list) or not all(
         isinstance(row, list)
         and all(type(x) in (int, float) and 0 <= x <= 1 for x in row)
         for row in probs
     ):
         raise ValueError(f"{path}: 'probs' must be a list of lists of numbers in [0, 1]")
-    players = PlayerTable(names=tuple(names), ranks=tuple(ranks))
-    return ProbabilisticTournament(players=players, probs=np.array(probs))
+    if len(probs) != n or any(len(row) != n for row in probs):
+        raise ValueError(f"{path}: 'probs' must be {n}x{n}")
+    # Rows may come in any order; the player ranked r gets id r - 1.
+    order = np.argsort(ranks)
+    players = PlayerTable(tuple(names[i] for i in order))
+    probs = np.array(probs, dtype=float)[np.ix_(order, order)]
+    return ProbabilisticTournament(players=players, probs=probs)
 
 
 def _csv_matrix(rows: list[list[str]], path) -> ProbabilisticTournament:
@@ -408,9 +398,11 @@ def _csv_matrix(rows: list[list[str]], path) -> ProbabilisticTournament:
     for i, row in enumerate(rows[1:]):
         if len(row) != len(names) + 1 or row[0] != names[i]:
             raise ValueError(f"{path}: matrix row {i + 1} does not match the header")
-        probs[i] = [float(x) for x in row[1:]]
-    players = PlayerTable.from_ordered(names)
-    return ProbabilisticTournament(players=players, probs=probs)
+        try:
+            probs[i] = [float(x) for x in row[1:]]
+        except ValueError as exc:
+            raise ValueError(f"{path}: matrix row {i + 1}: {exc}") from None
+    return ProbabilisticTournament(players=PlayerTable(names), probs=probs)
 
 
 def read_prob_matrix(path) -> ProbabilisticTournament:
@@ -444,8 +436,8 @@ def read_tournaments(
         return prob.to_deterministic(), prob
     if not ranks:
         raise ValueError("--ranks is required for match or head-to-head input")
-    ranking = read_ranks(ranks)
+    players = read_ranks(ranks)
     if header == MATCHES_HEADER:
         matches = _parse_records(rows, path, MatchRecord)
-        return soccer_to_tournaments(matches, ranking, season=season)
-    return tennis_to_tournaments(_parse_records(rows, path, HeadToHeadRecord), ranking)
+        return soccer_to_tournaments(matches, players, season=season)
+    return tennis_to_tournaments(_parse_records(rows, path, HeadToHeadRecord), players)

@@ -357,17 +357,42 @@ class TestDatasetInputs:
         assert main(["kings", "--input", str(path), *ranks]) == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fields", [
-        '"probs": [[0.5, 0.5], [0.5, 0.5]], "ranks": [1, 2]',
-        '"probs": [[0.5, 0.5], [0.5, 0.5]], "names": ["a", "b"], "ranks": [1, null]',
-        '"probs": [[0.5, 0.5], [0.5, 0.5]], "names": "ab", "ranks": [1, 2]',
-        '"probs": [[0.5, {}], [0.5, 0.5]], "names": ["a", "b"], "ranks": [1, 2]',
-    ], ids=["missing-names", "null-rank", "names-string", "object-prob"])
-    def test_malformed_matrix_exit_two(self, tmp_path, capsys, fields):
+    @pytest.mark.parametrize("fields, message", [
+        ('"probs": [[0.5, 0.5], [0.5, 0.5]], "ranks": [1, 2]', "'names' must be a list"),
+        ('"probs": [[0.5, 0.5], [0.5, 0.5]], "names": ["a", "b"], "ranks": [1, null]',
+         "'ranks' must be a list"),
+        ('"probs": [[0.5, 0.5], [0.5, 0.5]], "names": "ab", "ranks": [1, 2]',
+         "'names' must be a list"),
+        ('"probs": [[0.5, {}], [0.5, 0.5]], "names": ["a", "b"], "ranks": [1, 2]',
+         "'probs' must be a list"),
+        # Rows are put in rank order only once the whole file is checked.
+        ('"probs": [[0.5, 0.5], [0.5, 0.5]], "names": ["a", "b"], "ranks": [1, 1]',
+         "'ranks' must be a permutation of 1..2"),
+        ('"probs": [[0.5, 0.5], [0.5, 0.5]], "names": ["a", "b"], "ranks": [0, 1]',
+         "'ranks' must be a permutation of 1..2"),
+        ('"probs": [[0.5, 0.5], [0.5, 0.5]], "names": ["a", "b"], "ranks": [1, 3]',
+         "'ranks' must be a permutation of 1..2"),
+        ('"probs": [[0.5, 0.5], [0.5, 0.5]], "names": ["a", "b"], "ranks": [2, 1, 3]',
+         "'ranks' must be a permutation of 1..2"),
+        ('"probs": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], '
+         '"names": ["a", "b"], "ranks": [2, 1]', "'probs' must be 2x2"),
+        ('"probs": [[0.5, 0.5], [0.5]], "names": ["a", "b"], "ranks": [2, 1]',
+         "'probs' must be 2x2"),
+    ], ids=["missing-names", "null-rank", "names-string", "object-prob", "repeated-rank",
+            "rank-zero", "rank-gap", "extra-rank", "probs-3x3", "ragged-probs"])
+    def test_malformed_matrix_exit_two(self, tmp_path, capsys, fields, message):
         path = tmp_path / "m.json"
         path.write_text('{"format": "drawfix-probmatrix/1", ' + fields + "}\n")
         assert main(["kings", "--input", str(path)]) == 2
-        assert "must be a list" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+    def test_repeated_ranked_name_names_file_and_line(self, tmp_path, capsys):
+        matches, _ = self.write_soccer(tmp_path)
+        ranks = tmp_path / "ranks.csv"
+        ranks.write_text("rank,name\n1,A\n2,B\n3,A\n4,D\n")
+        assert main(["kings", "--input", matches, "--ranks", str(ranks)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {ranks}: line 4: duplicate name 'A'\n")
 
     def test_missing_file(self, tmp_path):
         assert main(["count", "--input", str(tmp_path / "nope.csv")]) == 2
@@ -415,6 +440,8 @@ class TestDatasetInputs:
         ("non-square", "must be 2x2"),
         ("inconsistent", "must equal 1"),
         ("tennis-17", "power of two, got 17 players"),
+        ("word-cell", "p.csv: matrix row 2: could not convert string to float: 'x'"),
+        ("empty-cell", "p.csv: matrix row 2: could not convert string to float: ''"),
     ])
     def test_rejected_input_exit_two(self, tmp_path, capsys, case, message):
         matches = (DATA / "mini_matches.csv").read_text(encoding="utf-8")
@@ -429,6 +456,8 @@ class TestDatasetInputs:
                            '["a", "b"], "ranks": [1, 2], "probs": [[0.5, 0.5, 0.5], '
                            '[0.5, 0.5, 0.5]]}\n', []),
             "inconsistent": ("p.csv", '"name","a","b"\n"a",0.5,0.6\n"b",0.6,0.5\n', []),
+            "word-cell": ("p.csv", '"name","a","b"\n"a",0.5,0.5\n"b",x,0.5\n', []),
+            "empty-cell": ("p.csv", '"name","a","b"\n"a",0.5,0.5\n"b",,0.5\n', []),
         }
         if case == "tennis-17":
             argv = ["--input", str(DATA / "tennis_h2h.csv"),

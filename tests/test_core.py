@@ -156,28 +156,25 @@ class TestPlayerTable:
     def test_default(self):
         t = PlayerTable.default(4)
         assert t.names == ("p0", "p1", "p2", "p3")
-        assert t.ranks == (1, 2, 3, 4)
 
-    def test_from_ordered(self):
-        t = PlayerTable.from_ordered(["x", "y"])
+    def test_names_best_first(self):
+        t = PlayerTable(["x", "y"])
+        assert t.names == ("x", "y")
+        assert t == PlayerTable(("x", "y"))
         assert t.id_of("y") == 1
-        assert t.by_rank() == (0, 1)
 
     def test_by_rank_orders_ids(self):
-        t = PlayerTable(names=("a", "b", "c", "d"), ranks=(3, 1, 4, 2))
-        assert t.by_rank() == (1, 3, 0, 2)
+        assert PlayerTable(("a", "b", "c", "d")).by_rank() == (0, 1, 2, 3)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown player"):
             PlayerTable.default(2).id_of("zz")
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PlayerTable(names=("a", "a"), ranks=(1, 2))
-        with pytest.raises(ValueError):
-            PlayerTable(names=("a", "b"), ranks=(1, 3))
-        with pytest.raises(ValueError):
-            PlayerTable(names=("a", "b", "c"), ranks=(1, 2))
+        with pytest.raises(ValueError, match="unique"):
+            PlayerTable(("a", "a"))
+        with pytest.raises(ValueError, match="empty"):
+            PlayerTable(())
 
 
 class TestTournaments:
@@ -211,11 +208,11 @@ class TestTournaments:
         assert np.array_equal(back.beats, cycle4.beats)
 
     def test_half_probabilities_resolve_by_rank(self):
-        players = PlayerTable(names=("low", "high"), ranks=(2, 1))
-        prob = ProbabilisticTournament(players=players,
-                                       probs=np.full((2, 2), 0.5))
+        prob = ProbabilisticTournament(players=PlayerTable.default(4),
+                                       probs=np.full((4, 4), 0.5))
         det = prob.to_deterministic()
-        assert det.beats[1, 0] and not det.beats[0, 1]
+        # every tie goes to the better rank, the smaller id
+        assert np.array_equal(det.beats, np.triu(np.ones((4, 4), dtype=bool), 1))
 
 
 class TestSimulate:

@@ -45,7 +45,7 @@ class TestGenerate:
             ]
         )
         assert np.allclose(t.probs, expected)
-        assert t.players.ranks == (1, 2, 3, 4)
+        assert t.players == PlayerTable.default(4)
 
     def test_rows_well_formed(self):
         t = generate_cr(CrParams(n=16, upset_prob=0.45))
@@ -60,8 +60,7 @@ class TestGenerate:
 
 class TestAverageUpset:
     def test_respects_rank_orientation(self):
-        # id 0 is ranked below id 1, and beats them with probability 0.8
-        players = PlayerTable(names=("low", "high"), ranks=(2, 1))
-        probs = np.array([[0.5, 0.8], [0.2, 0.5]])
-        t = ProbabilisticTournament(players=players, probs=probs)
+        # id 1 is ranked below id 0, and beats them with probability 0.8
+        probs = np.array([[0.5, 0.2], [0.8, 0.5]])
+        t = ProbabilisticTournament(players=PlayerTable(("high", "low")), probs=probs)
         assert average_upset_probability(t) == pytest.approx(0.8)

@@ -1,3 +1,4 @@
+import json
 import os
 import tempfile
 import threading
@@ -15,7 +16,6 @@ from drawfix import (
     MatchRecord,
     PlayerTable,
     ProbabilisticTournament,
-    RankingTable,
     count_winning_draws,
     drop_player,
     generate_cr,
@@ -34,7 +34,7 @@ from drawfix import (
 from drawfix.ingest import MAX_INPUT_BYTES
 
 DATA = Path(__file__).parent.parent / "data"
-RANKS = RankingTable(names=("A", "B", "C", "D"))
+RANKS = PlayerTable(("A", "B", "C", "D"))
 
 
 def season_matches():
@@ -200,7 +200,6 @@ class TestDropPlayer:
         det, _ = soccer_to_tournaments(season_matches(), RANKS)
         smaller = drop_player(det, 1)
         assert smaller.players.names == ("A", "C", "D")
-        assert smaller.players.ranks == (1, 2, 3)
         assert smaller.beats[1, 0]  # C still beats A
         assert not smaller.beats[2, 0]
 
@@ -210,14 +209,6 @@ class TestDropPlayer:
         assert smaller.players.names == ("A", "B", "D")
         assert smaller.probs[0, 1] == pytest.approx(3 / 5)
         assert isinstance(smaller, ProbabilisticTournament)
-
-    def test_scrambled_ranks_compact_in_order(self):
-        players = PlayerTable(names=("w", "x", "y", "z"), ranks=(4, 2, 1, 3))
-        probs = np.full((4, 4), 0.5)
-        t = ProbabilisticTournament(players=players, probs=probs)
-        smaller = drop_player(t, 3)  # z held rank 3
-        assert smaller.players.names == ("w", "x", "y")
-        assert smaller.players.ranks == (3, 2, 1)
 
     def test_bad_id(self, cycle4):
         with pytest.raises(ValueError):
@@ -252,7 +243,7 @@ class TestProbMatrixFiles:
 
     @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a\r\nb", '"a,\nb"'])
     def test_csv_names_round_trip(self, tmp_path, name):
-        players = PlayerTable.from_ordered((name, "plain"))
+        players = PlayerTable((name, "plain"))
         t = ProbabilisticTournament(players=players, probs=np.array([[0.5, 0.25],
                                                                      [0.75, 0.5]]))
         path = tmp_path / "m.csv"
@@ -261,13 +252,17 @@ class TestProbMatrixFiles:
             assert back.players == t.players
             assert np.array_equal(back.probs, t.probs)
 
-    def test_csv_requires_rank_order(self, tmp_path):
-        players = PlayerTable(names=("x", "y"), ranks=(2, 1))
-        t = ProbabilisticTournament(players=players, probs=np.full((2, 2), 0.5))
-        with pytest.raises(ValueError, match="rank order"):
-            write_prob_matrix(tmp_path / "m.csv", t, fmt="csv")
-        write_prob_matrix(tmp_path / "m.json", t)  # json keeps any order
-        assert read_prob_matrix(tmp_path / "m.json").players.ranks == (2, 1)
+    def test_json_rows_follow_rank(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"format": "drawfix-probmatrix/1", "names": ["x", "y", "z"], '
+                        '"ranks": [3, 1, 2], "probs": [[0.5, 0.25, 0.125], '
+                        '[0.75, 0.5, 1.0], [0.875, 0.0, 0.5]]}\n')
+        t = read_prob_matrix(path)
+        assert t.players.names == ("y", "z", "x")
+        assert np.array_equal(t.probs, [[0.5, 1.0, 0.75], [0.0, 0.5, 0.875],
+                                        [0.25, 0.125, 0.5]])
+        write_prob_matrix(path, t)
+        assert json.loads(path.read_text())["ranks"] == [1, 2, 3]
 
     def test_unknown_format(self, tmp_path):
         t = generate_cr(CrParams(n=4, upset_prob=0.4))

@@ -12,13 +12,14 @@ LAYERS = (core, crmodel, ingest, solver, stats, winprob)
 
 # drawfix.__all__ before read_tournaments joined it, less the two
 # functions that only tests called (draw_win_probabilities and
-# sample_deterministic).
+# sample_deterministic) and RankingTable, which PlayerTable replaced when
+# player ids became ranks.
 EARLIER_NAMES = [
     "CrParams", "DeterministicTournament", "Draw", "DrawStream",
     "EmpiricalSample", "FindResult", "FitResult", "HeadToHeadRecord",
     "IncompleteDataError", "KsResult", "LrtResult", "MAX_EXACT_PLAYERS",
     "MAX_MODEL_PLAYERS", "MatchRecord", "PlayerTable",
-    "ProbabilisticTournament", "RankingTable", "ResourceLimitError",
+    "ProbabilisticTournament", "ResourceLimitError",
     "ScanResult", "ScanStep", "SearchStats", "UndefinedTestError",
     "WinCountReport", "WinProbVector", "__version__",
     "average_upset_probability", "canonicalize", "ccdf_points",

@@ -459,7 +459,7 @@ def _tennis_sample():
     _, prob = tennis_to_tournaments(read_h2h(DATA / "tennis_h2h.csv"),
                                     read_ranks(DATA / "tennis_ranks.csv"))
     return EmpiricalSample.from_win_probs(
-        exact_uniform_win_probs(drop_player(prob, prob.players.ranks.index(1))))
+        exact_uniform_win_probs(drop_player(prob, 0)))
 
 
 _EQUIVALENCE_CASES = [

@@ -33,7 +33,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 from drawfix import (  # noqa: E402
     HeadToHeadRecord,
     MatchRecord,
-    RankingTable,
+    PlayerTable,
     condorcet_winner,
     count_winning_draws,
     drop_player,
@@ -141,8 +141,8 @@ def main() -> None:
     # soccer, 16 teams
     season = make_season(rng, SOCCER_TEAMS, "2031-32")
     write_matches(DATA / "soccer_matches.csv", season)
-    write_ranks(DATA / "soccer_ranks.csv", RankingTable(names=tuple(SOCCER_TEAMS)))
-    det, prob = soccer_to_tournaments(season, RankingTable(names=tuple(SOCCER_TEAMS)))
+    write_ranks(DATA / "soccer_ranks.csv", PlayerTable(SOCCER_TEAMS))
+    det, prob = soccer_to_tournaments(season, PlayerTable(SOCCER_TEAMS))
     report = count_winning_draws(det)
     write_json(
         DATA / "expected" / "soccer_counts.json",
@@ -172,8 +172,8 @@ def main() -> None:
     # mini soccer, 8 teams, checked by enumeration
     mini = make_season(rng, MINI_TEAMS, "2031-32")
     write_matches(DATA / "mini_matches.csv", mini)
-    write_ranks(DATA / "mini_ranks.csv", RankingTable(names=tuple(MINI_TEAMS)))
-    mini_det, _ = soccer_to_tournaments(mini, RankingTable(names=tuple(MINI_TEAMS)))
+    write_ranks(DATA / "mini_ranks.csv", PlayerTable(MINI_TEAMS))
+    mini_det, _ = soccer_to_tournaments(mini, PlayerTable(MINI_TEAMS))
     counts = oracle.count_by_winner(8, mini_det.beats)
     write_json(
         DATA / "expected" / "mini_counts.json",
@@ -186,8 +186,8 @@ def main() -> None:
     # tennis, 17 players; the bracket fixtures drop the top seed
     h2h = make_tennis(rng, TENNIS_PLAYERS)
     write_h2h(DATA / "tennis_h2h.csv", h2h)
-    write_ranks(DATA / "tennis_ranks.csv", RankingTable(names=tuple(TENNIS_PLAYERS)))
-    tdet, _ = tennis_to_tournaments(h2h, RankingTable(names=tuple(TENNIS_PLAYERS)))
+    write_ranks(DATA / "tennis_ranks.csv", PlayerTable(TENNIS_PLAYERS))
+    tdet, _ = tennis_to_tournaments(h2h, PlayerTable(TENNIS_PLAYERS))
     top = condorcet_winner(tdet)
     assert top == 0, "the top seed must beat every other player"
     assert kings(tdet) == (0,)
