@@ -1,15 +1,22 @@
-"""Byte pins of the CLI's machine outputs on the bundled leagues.
+"""Byte pins of the CLI's outputs on the bundled leagues.
 
 Each case runs on one fixture, and its pins are
-``tests/golden/<fixture>_<case>.{json,csv}``; ``cr8`` is the 8-player
-matrix that ``gen-cr`` writes, which reads no input.  The mini-league
+``tests/golden/<fixture>_<case>.{json,csv}`` for the machine outputs and
+``tests/golden/<fixture>_<case>.txt`` for the human report on stdout;
+``cr8`` is the 8-player matrix that ``gen-cr`` writes, which reads no
+input.  The mini-league
 pins were written by the CLI before its input loading moved into
 ``drawfix.ingest``; the step-0.001 scans were written before the scan
 took every grid point from the rank recurrence; the ``count`` and
 ``gen-cr`` pins were written before the CLI built its CSV rows from its
-JSON rows.  Every later change must reproduce them byte for byte.  The JSON metadata records the input
-paths, so the commands run from the repository root with relative paths.
+JSON rows; the human reports were pinned before the CLI read its input
+once for every subcommand.  Every later change must reproduce them byte
+for byte, except the run-dependent text of a report: the digits of its
+``elapsed:`` timings and the output path that ``gen-cr`` echoes.  The
+JSON metadata records the input paths, so the commands run from the
+repository root with relative paths.
 """
+import re
 from pathlib import Path
 
 import pytest
@@ -61,3 +68,19 @@ def test_sampled_csv_ignores_worker_count(workers, tmp_path, monkeypatch):
     args = [*CASES["winprob-full-simulation"][1], "--workers", workers]
     assert main([*args, "--format", "csv", "--output", str(out)]) == 0
     assert out.read_bytes() == _pin("winprob-full-simulation", "csv").read_bytes()
+
+
+def _masked_report(text: str, output: Path) -> str:
+    """A human report with its timings and its output path masked."""
+    text = re.sub(r"^((?:counting )?elapsed: )[0-9.]+s$", r"\1<seconds>s", text,
+                  flags=re.MULTILINE)
+    return text.replace(str(output), "<output>")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_human_report_is_pinned(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "out.json"
+    assert main([*CASES[case][1], "--output", str(out)]) == 0
+    report = _masked_report(capsys.readouterr().out, out)
+    assert report == _pin(case, "txt").read_text(encoding="utf-8")
