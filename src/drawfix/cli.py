@@ -11,9 +11,11 @@ gen-cr    write a synthetic rank-ordered probability matrix
 kings     list the kings and the beats-everyone winner, if any
 
 ``--input`` takes any file that ``drawfix.ingest.read_tournaments``
-reads.  Every subcommand prints a short human-readable report to
-stdout.  With ``--output`` it also writes a machine-readable file (JSON
-or CSV via ``--format``).  Machine outputs never contain wall-clock
+reads; ``main`` reads it once and hands both tournament readings to the
+subcommand.  Every subcommand prints a short human-readable report to
+stdout.  An analysis subcommand returns its exit code with its machine
+data, which ``main`` writes to ``--output`` (JSON or CSV via
+``--format``).  Machine outputs never contain wall-clock
 timings, so a rerun with the same inputs and seed reproduces them byte
 for byte.
 
@@ -110,16 +112,27 @@ def _fmt_opt(value, fmt: str = "") -> str:
     return format(value, fmt)
 
 
+def _timed(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and its wall time in seconds."""
+    start = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, time.perf_counter() - start
+
+
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# An analysis subcommand takes the parsed arguments and both readings of
+# --input, prints its report and returns (exit code, JSON data, CSV
+# header, CSV rows).  Library functions are called through this module's
+# names at call time, which the benchmark's timing wrappers replace.
+
+Report = tuple[int, dict, list[str], list[list]]
 
 
-def cmd_fix(args: argparse.Namespace) -> int:
-    det, _ = read_tournaments(args.input, args.ranks, args.season)
+def cmd_fix(args: argparse.Namespace, det, prob) -> Report:
     target = det.players.id_of(args.target)
-    start = time.perf_counter()
-    result = find_winning_draw(det, target)
-    elapsed = time.perf_counter() - start
+    result, elapsed = _timed(find_winning_draw, det, target)
     found = result.draw is not None
     bracket = result.draw.bracket_text(det.players.names) if found else None
     print(f"target: {args.target}")
@@ -137,15 +150,12 @@ def cmd_fix(args: argparse.Namespace) -> int:
         "choice_points": result.stats.choice_points,
     }
     columns = ["target", "found", "bracket", "choice_points"]
-    _write_machine(args, data, columns, [[data[c] for c in columns]])
-    return EXIT_OK if found else EXIT_NEGATIVE
+    code = EXIT_OK if found else EXIT_NEGATIVE
+    return code, data, columns, [[data[c] for c in columns]]
 
 
-def cmd_count(args: argparse.Namespace) -> int:
-    det, _ = read_tournaments(args.input, args.ranks, args.season)
-    start = time.perf_counter()
-    report = count_winning_draws(det)
-    elapsed = time.perf_counter() - start
+def cmd_count(args: argparse.Namespace, det, prob) -> Report:
+    report, elapsed = _timed(count_winning_draws, det)
     nodes_all = enumeration_choice_points(det) if args.stats == "all" else None
     rows = []
     for pid, name in enumerate(det.players.names):
@@ -176,24 +186,15 @@ def cmd_count(args: argparse.Namespace) -> int:
             f"{_fmt_opt(r['nodes_all']):>{all_w}}"
         )
     data = {"total_draws": report.total_draws, "players": rows}
-    _write_machine(args, data, list(rows[0]), [list(r.values()) for r in rows])
-    return EXIT_OK
+    return EXIT_OK, data, list(rows[0]), [list(r.values()) for r in rows]
 
 
-def cmd_winprob(args: argparse.Namespace) -> int:
-    _, prob = read_tournaments(args.input, args.ranks, args.season)
-    start = time.perf_counter()
+def cmd_winprob(args: argparse.Namespace, det, prob) -> Report:
     if args.mode == "exact":
-        vector = exact_uniform_win_probs(prob)
+        vector, elapsed = _timed(exact_uniform_win_probs, prob)
     else:
-        vector = sample_uniform_win_probs(
-            prob,
-            samples=args.samples,
-            rng=args.seed,
-            mode=args.mode,
-            workers=args.workers,
-        )
-    elapsed = time.perf_counter() - start
+        vector, elapsed = _timed(sample_uniform_win_probs, prob, samples=args.samples,
+                                 rng=args.seed, mode=args.mode, workers=args.workers)
     rows = [
         {"rank": pid + 1, "name": name, "win_prob": float(vector.entries[pid])}
         for pid, name in enumerate(prob.players.names)
@@ -210,17 +211,14 @@ def cmd_winprob(args: argparse.Namespace) -> int:
         "samples": vector.samples,
         "players": rows,
     }
-    _write_machine(args, data, list(rows[0]), [list(r.values()) for r in rows])
-    return EXIT_OK
+    return EXIT_OK, data, list(rows[0]), [list(r.values()) for r in rows]
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
-    _, prob = read_tournaments(args.input, args.ranks, args.season)
+def cmd_scan(args: argparse.Namespace, det, prob) -> Report:
     reference = EmpiricalSample.from_win_probs(exact_uniform_win_probs(prob))
     avg_upset = average_upset_probability(prob)
-    start = time.perf_counter()
-    result = scan_cr(reference, prob.n, step=args.step, threshold=args.threshold)
-    elapsed = time.perf_counter() - start
+    result, elapsed = _timed(scan_cr, reference, prob.n, step=args.step,
+                             threshold=args.threshold)
     # as many decimals as the step has (the grid is rounded to 10), so
     # every grid point keeps its own label
     places = max(2, len(f"{args.step:.10f}".rstrip("0").partition(".")[2]))
@@ -257,12 +255,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
         "steps": steps,
     }
     columns = ["upset_prob", "statistic", "p_value", "accepted"]
-    _write_machine(args, data, columns, [[s[c] for c in columns] for s in steps])
-    return EXIT_OK
+    return EXIT_OK, data, columns, [[s[c] for c in columns] for s in steps]
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
-    _, prob = read_tournaments(args.input, args.ranks, args.season)
+def cmd_fit(args: argparse.Namespace, det, prob) -> Report:
     sample = EmpiricalSample.from_win_probs(exact_uniform_win_probs(prob))
     lognormal = fit_lognormal(sample)
     powerlaw = fit_power_law(sample, scan=args.scan_xmin)
@@ -307,16 +303,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "rows": ccdf_rows,
         },
     }
-    _write_machine(
-        args,
-        data,
-        ["x", "empirical_ccdf", "lognormal_ccdf", "powerlaw_ccdf"],
-        ccdf_rows,
-    )
-    return EXIT_OK
+    return EXIT_OK, data, ["x", "empirical_ccdf", "lognormal_ccdf", "powerlaw_ccdf"], ccdf_rows
 
 
 def cmd_gen_cr(args: argparse.Namespace) -> int:
+    """Reads no input and writes the matrix itself; returns the exit code."""
     params = CrParams(n=args.players, upset_prob=args.upset_prob)
     tournament = generate_cr(params)
     write_prob_matrix(args.output, tournament, fmt=args.format)
@@ -327,8 +318,7 @@ def cmd_gen_cr(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_kings(args: argparse.Namespace) -> int:
-    det, _ = read_tournaments(args.input, args.ranks, args.season)
+def cmd_kings(args: argparse.Namespace, det, prob) -> Report:
     players = det.players
     king_ids = kings(det)
     winner = condorcet_winner(det)
@@ -342,13 +332,8 @@ def cmd_kings(args: argparse.Namespace) -> int:
         "kings": king_names,
         "condorcet_winner": None if winner is None else players.names[winner],
     }
-    _write_machine(
-        args,
-        data,
-        ["name", "is_condorcet_winner"],
-        [[name, name == data["condorcet_winner"]] for name in king_names],
-    )
-    return EXIT_OK
+    rows = [[name, name == data["condorcet_winner"]] for name in king_names]
+    return EXIT_OK, data, ["name", "is_condorcet_winner"], rows
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        if "input" in args:
+            det, prob = read_tournaments(args.input, args.ranks, args.season)
+            code, *machine = args.func(args, det, prob)
+            _write_machine(args, *machine)
+        else:
+            code = args.func(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

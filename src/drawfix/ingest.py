@@ -172,6 +172,19 @@ def read_h2h(path) -> list[HeadToHeadRecord]:
     return _parse_records(_csv_rows(_read_text(path), path), path, HeadToHeadRecord)
 
 
+def _player_table(names, path) -> PlayerTable:
+    """The players of a file, refused with the file named if there are
+    none or a name repeats."""
+    if not names:
+        raise ValueError(f"{path}: no players")
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"{path}: duplicate name {name!r}")
+        seen.add(name)
+    return PlayerTable(tuple(names))
+
+
 def read_ranks(path) -> PlayerTable:
     seen, names = {}, set()
     rows = _csv_rows(_read_text(path), path)
@@ -185,7 +198,7 @@ def read_ranks(path) -> PlayerTable:
         names.add(name)
     if sorted(seen) != list(range(1, len(seen) + 1)):
         raise ValueError(f"{path}: ranks must be exactly 1..{len(seen)}")
-    return PlayerTable(tuple(seen[r] for r in sorted(seen)))
+    return _player_table([seen[r] for r in sorted(seen)], path)
 
 
 def write_json(path, doc: dict) -> None:
@@ -381,7 +394,7 @@ def _json_matrix(text: str, path) -> ProbabilisticTournament:
         raise ValueError(f"{path}: 'probs' must be {n}x{n}")
     # Rows may come in any order; the player ranked r gets id r - 1.
     order = np.argsort(ranks)
-    players = PlayerTable(tuple(names[i] for i in order))
+    players = _player_table([names[i] for i in order], path)
     probs = np.array(probs, dtype=float)[np.ix_(order, order)]
     return ProbabilisticTournament(players=players, probs=probs)
 
@@ -392,6 +405,7 @@ def _csv_matrix(rows: list[list[str]], path) -> ProbabilisticTournament:
         raise ValueError(f"unrecognized input format in {path!r}: header {header!r} "
                          "is not a probability-matrix header")
     names = tuple(rows[0][1:])
+    players = _player_table(names, path)
     if len(rows) != len(names) + 1:
         raise ValueError(f"{path}: expected {len(names)} matrix rows")
     probs = np.empty((len(names), len(names)))
@@ -402,7 +416,7 @@ def _csv_matrix(rows: list[list[str]], path) -> ProbabilisticTournament:
             probs[i] = [float(x) for x in row[1:]]
         except ValueError as exc:
             raise ValueError(f"{path}: matrix row {i + 1}: {exc}") from None
-    return ProbabilisticTournament(players=PlayerTable(names), probs=probs)
+    return ProbabilisticTournament(players=players, probs=probs)
 
 
 def read_prob_matrix(path) -> ProbabilisticTournament:

@@ -76,7 +76,7 @@ def exact_uniform_win_probs(t: ProbabilisticTournament) -> WinProbVector:
 
 def _batch_permutations(n: int, b: int, gen: np.random.Generator) -> np.ndarray:
     base = np.tile(np.arange(n), (b, 1))
-    return gen.permuted(base, axis=1)
+    return gen.permuted(base, axis=1, out=base)
 
 
 def _per_draw_exact_batch(probs, n, b, gen) -> np.ndarray:

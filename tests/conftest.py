@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -53,6 +54,17 @@ def random_probabilistic(n: int, rng) -> ProbabilisticTournament:
     probs[iu] = p[iu]
     probs.T[iu] = 1.0 - p[iu]
     return ProbabilisticTournament(players=PlayerTable.default(n), probs=probs)
+
+
+def write_rows(path, names, probs, order):
+    """A JSON matrix file listing the rank-ordered field's rows in ``order``."""
+    doc = {
+        "format": "drawfix-probmatrix/1",
+        "names": [names[i] for i in order],
+        "ranks": [i + 1 for i in order],
+        "probs": [[float(probs[i][j]) for j in order] for i in order],
+    }
+    Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
 def reference_sweep(n: int, matrix) -> np.ndarray:

@@ -394,6 +394,21 @@ class TestDatasetInputs:
         assert capsys.readouterr().err == (
             f"error: {ranks}: line 4: duplicate name 'A'\n")
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("m.json", '{"format": "drawfix-probmatrix/1", "names": ["a", "a"], '
+                   '"ranks": [1, 2], "probs": [[0.5, 0.5], [0.5, 0.5]]}',
+         "duplicate name 'a'"),
+        ("m.csv", "name,a,a\na,0.5,0.5\na,0.5,0.5\n", "duplicate name 'a'"),
+        ("m.json", '{"format": "drawfix-probmatrix/1", "names": [], "ranks": [], '
+                   '"probs": []}', "no players"),
+        ("m.csv", "name\n", "no players"),
+    ], ids=["json-repeated", "csv-repeated", "json-empty", "csv-empty"])
+    def test_matrix_name_errors_name_the_file(self, tmp_path, capsys, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["kings", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     def test_missing_file(self, tmp_path):
         assert main(["count", "--input", str(tmp_path / "nope.csv")]) == 2
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tempfile
 import threading
 from pathlib import Path
@@ -103,6 +104,12 @@ class TestCsvRoundTrips:
         path = tmp_path / "r.csv"
         path.write_text("rank,name\n1,A\n3,B\n")
         with pytest.raises(ValueError):
+            read_ranks(path)
+
+    def test_empty_ranks_name_the_file(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("rank,name\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no players$"):
             read_ranks(path)
 
 

@@ -10,8 +10,13 @@ lattice-path count, to full enumeration of the splits (one sample
 against many rows at once as well as against one), and the upset
 model's rank recurrence to full enumeration of the draws and, in float,
 to its own exact rational run within the error bound the scan relies on.
+The command line's counts, draws, kings and exact win probabilities are
+pinned to the oracle on JSON matrices with awkward names and shuffled rows.
 """
+import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +40,7 @@ from drawfix import (
     simulate,
 )
 from drawfix._subsetdp import sweep
+from drawfix.cli import main
 from drawfix.core import bracket_survival
 from drawfix.stats import (
     _RANK_PROB_TOL,
@@ -45,7 +51,12 @@ from drawfix.stats import (
 )
 
 import oracle
-from conftest import check_fixing_conditions, random_deterministic, reference_sweep
+from conftest import (
+    check_fixing_conditions,
+    random_deterministic,
+    reference_sweep,
+    write_rows,
+)
 
 SIZES = st.sampled_from([1, 2, 4, 8])
 # Scoring one bracket is cheap in the oracle, so the evaluator's properties
@@ -232,3 +243,68 @@ def test_cr_rank_recurrence_error_within_stated_bound(n, u):
 def test_solver_meets_published_fixing_conditions(n, p, seed):
     rng = np.random.default_rng(seed)
     check_fixing_conditions(random_deterministic(n, rng, p, shuffle=True))
+
+
+# Names with quotes, commas, blanks and non-ASCII letters, and matrix
+# entries with exact halves, which go to the better rank.
+NAMES = st.text(st.sampled_from("a\"',; é名") | st.characters(), min_size=1, max_size=5)
+ENTRIES = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def named_fields(draw):
+    """Names and a matrix in rank order, and the row order of its file."""
+    n = draw(st.sampled_from([2, 4, 8]))
+    names = draw(st.lists(NAMES, min_size=n, max_size=n, unique=True))
+    probs = np.full((n, n), 0.5)
+    for i in range(n):
+        for j in range(i + 1, n):
+            probs[i, j] = draw(ENTRIES)
+            probs[j, i] = 1.0 - probs[i, j]
+    return names, probs.tolist(), draw(st.permutations(range(n)))
+
+
+def _cli_data(path, out, *argv):
+    """Exit code and JSON ``data`` block of one command on ``path``."""
+    code = main([argv[0], "--input", str(path), *argv[1:], "--format", "json",
+                 "--output", str(out)])
+    return code, json.loads(out.read_text(encoding="utf-8"))["data"]
+
+
+@SETTINGS
+@given(named_fields())
+def test_cli_reports_match_oracle(field):
+    names, probs, order = field
+    n = len(names)
+    beats = [[probs[i][j] > 0.5 or (probs[i][j] == 0.5 and i < j) for j in range(n)]
+             for i in range(n)]
+    counts = oracle.count_by_winner(n, beats)
+    ranked = [(i + 1, name) for i, name in enumerate(names)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "field.json", Path(tmp) / "out.json"
+        write_rows(path, names, probs, order)
+
+        code, count = _cli_data(path, out, "count", "--stats", "all")
+        assert code == 0
+        assert count["total_draws"] == len(oracle.all_draws(range(n)))
+        assert [(r["rank"], r["name"]) for r in count["players"]] == ranked
+        assert [r["count"] for r in count["players"]] == counts
+
+        for target, name in enumerate(names):
+            code, fix = _cli_data(path, out, "fix", f"--target={name}")
+            assert fix["target"] == name
+            assert fix["found"] == (counts[target] > 0)
+            assert code == (0 if fix["found"] else 3)
+            if fix["found"]:
+                tree = oracle.leaves_tree(fix["draw"])
+                assert oracle.tree_winner(tree, beats) == target
+
+        assert _cli_data(path, out, "kings")[1]["kings"] == [
+            name for i, name in enumerate(names) if oracle.is_king(beats, i)]
+
+        code, winprob = _cli_data(path, out, "winprob", "--mode", "exact")
+        assert code == 0
+        assert [(r["rank"], r["name"]) for r in winprob["players"]] == ranked
+        expected = oracle.uniform_win_probs(n, probs)
+        for row, want in zip(winprob["players"], expected):
+            assert abs(row["win_prob"] - want) <= 1e-12

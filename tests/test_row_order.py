@@ -18,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 from drawfix import read_tournaments
 from drawfix.cli import main
 
+from conftest import write_rows
+
 DATA = Path(__file__).parent.parent / "data"
 
 COMMANDS = [
@@ -27,17 +29,6 @@ COMMANDS = [
     ["fit"],
     ["kings"],
 ]
-
-
-def write_rows(path, names, probs, order):
-    """A JSON matrix file listing the rank-ordered field's rows in ``order``."""
-    doc = {
-        "format": "drawfix-probmatrix/1",
-        "names": [names[i] for i in order],
-        "ranks": [i + 1 for i in order],
-        "probs": [[float(probs[i][j]) for j in order] for i in order],
-    }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
 def report(tmp, path, argv):
