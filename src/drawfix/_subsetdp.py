@@ -48,9 +48,9 @@ result at the default one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +65,7 @@ __all__ = ["plan", "sweep", "winner_masks", "choice_points", "halvings", "bit_in
 _BLOCK_ROWS = 4096
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(NamedTuple):
     size: int
     masks: np.ndarray
     k: int
@@ -74,8 +73,7 @@ class Level:
     b_rows: np.ndarray
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(NamedTuple):
     n: int
     levels: tuple[Level, ...]
 

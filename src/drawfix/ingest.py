@@ -36,8 +36,7 @@ import io
 import json
 import os
 import re
-from dataclasses import astuple, dataclass, fields
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -84,8 +83,7 @@ class IncompleteDataError(ValueError):
         super().__init__(f"missing results for {len(self.pairs)} pair(s): {shown}")
 
 
-@dataclass(frozen=True)
-class MatchRecord:
+class MatchRecord(NamedTuple):
     season: str
     home: str
     away: str
@@ -93,8 +91,7 @@ class MatchRecord:
     away_goals: int
 
 
-@dataclass(frozen=True)
-class HeadToHeadRecord:
+class HeadToHeadRecord(NamedTuple):
     player_a: str
     player_b: str
     a_wins: int
@@ -102,8 +99,8 @@ class HeadToHeadRecord:
 
 
 # A record list's CSV header is the record's fields in declaration order.
-MATCHES_HEADER = [f.name for f in fields(MatchRecord)]
-H2H_HEADER = [f.name for f in fields(HeadToHeadRecord)]
+MATCHES_HEADER = list(MatchRecord._fields)
+H2H_HEADER = list(HeadToHeadRecord._fields)
 
 
 def _int_field(value: str, line: int, column: str) -> int:
@@ -156,11 +153,12 @@ def _data_rows(
 
 def _parse_records(rows: list[list[str]], path, cls) -> list:
     """``cls`` records from rows headed by its field names; ``int`` fields are checked."""
-    columns = fields(cls)
+    # Annotations are strings here, so the types come from get_type_hints.
+    types = get_type_hints(cls)
     out = []
-    for line, row in _data_rows(rows, path, [f.name for f in columns]):
-        out.append(cls(*(_int_field(v, line, f.name) if f.type == "int" else v
-                         for f, v in zip(columns, row))))
+    for line, row in _data_rows(rows, path, list(cls._fields)):
+        out.append(cls(*(_int_field(v, line, name) if types[name] is int else v
+                         for name, v in zip(cls._fields, row))))
     return out
 
 
@@ -217,11 +215,11 @@ def write_csv(path, header: list[str], rows: Iterable[tuple]) -> None:
 
 
 def write_matches(path, records: Iterable[MatchRecord]) -> None:
-    write_csv(path, MATCHES_HEADER, map(astuple, records))
+    write_csv(path, MATCHES_HEADER, records)
 
 
 def write_h2h(path, records: Iterable[HeadToHeadRecord]) -> None:
-    write_csv(path, H2H_HEADER, map(astuple, records))
+    write_csv(path, H2H_HEADER, records)
 
 
 def write_ranks(path, players: PlayerTable) -> None:

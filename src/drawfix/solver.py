@@ -10,6 +10,7 @@ brute-force enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +51,7 @@ class SearchStats:
     solutions_found: int = 0
 
 
-@dataclass(frozen=True)
-class WinCountReport:
+class WinCountReport(NamedTuple):
     """Exact winning-draw counts per player id."""
 
     counts: tuple[int, ...]
@@ -60,8 +60,7 @@ class WinCountReport:
     stats: SearchStats
 
 
-@dataclass(frozen=True)
-class FindResult:
+class FindResult(NamedTuple):
     """One winning draw (or None when no draw exists) plus search stats."""
 
     draw: Draw | None

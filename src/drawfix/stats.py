@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, erfc, exp, fsum, log, pi, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,8 +99,7 @@ def ccdf_points(s: EmpiricalSample) -> list[tuple[float, float]]:
     return [(x, 1.0 - f) for x, f in ecdf_points(s)]
 
 
-@dataclass(frozen=True)
-class KsResult:
+class KsResult(NamedTuple):
     """Two-sample KS outcome.
 
     Every p-value is exact or asymptotic, so ``resamples`` is always
@@ -180,8 +180,7 @@ def ks_two_sample(a: EmpiricalSample, b: EmpiricalSample) -> KsResult:
     return _ks_rows(np.array(a.values), np.array([b.values]))[0]
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """A fitted tail family and its parameters.
 
     ``support_min`` is the smallest sample value the fit covers (for a
@@ -315,8 +314,7 @@ def fit_lognormal(s: EmpiricalSample) -> FitResult:
     )
 
 
-@dataclass(frozen=True)
-class LrtResult:
+class LrtResult(NamedTuple):
     """Normalised log-likelihood ratio between two fitted families.
 
     Positive ``r`` favours the first-listed family; the two-sided
@@ -426,15 +424,13 @@ def _cr_rank_probs(n: int, us: np.ndarray) -> np.ndarray:
     return f
 
 
-@dataclass(frozen=True)
-class ScanStep:
+class ScanStep(NamedTuple):
     upset_prob: float
     ks: KsResult
     accepted: bool
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """Which upset probabilities are statistically compatible with the data."""
 
     steps: tuple[ScanStep, ...]
