@@ -7,15 +7,18 @@ Usage, from the root of a checkout:
 Every case is one command of the benchmark's ``cli`` workload on the
 bundled fixtures, ``count`` on the soccer season with each ``--stats``
 value, or ``scan`` on the soccer season at steps 0.01 (the default) and
-0.001.  Each run starts one fresh process per case and
-tree, from that checkout's root with its ``src/`` on PYTHONPATH; the
-trees take turns, and the side that goes first alternates from run to
-run.  A run records the process's wall time, seen from outside, and its
-own peak resident set (``VmHWM``), which a wrapper reads in an
-``atexit`` hook after the command has finished.  Before timing, every
-case runs once plain and once wrapped, and the tool stops unless both
-give the same exit code, machine output, stderr and stdout (timing
-lines aside).
+0.001.  Each run starts one fresh process per case and tree, from that
+checkout's root with its ``src/`` on PYTHONPATH and with
+``PYTHONDONTWRITEBYTECODE=1``, so every process compiles drawfix's
+source, as one does on a fresh checkout that writes no bytecode.  The
+tool refuses a tree that has a ``src/drawfix/__pycache__``: its cached
+bytecode would skip that compile on one side only.  The trees take
+turns, and the side that goes first alternates from run to run.  A run
+records the process's wall time, seen from outside, and its own peak
+resident set (``VmHWM``), which a wrapper reads in an ``atexit`` hook
+after the command has finished.  Before timing, every case runs once
+plain and once wrapped, and the tool stops unless both give the same
+exit code, machine output, stderr and stdout (timing lines aside).
 
 The output is one JSON document with each tree's median and quartiles
 per case, the ratio of medians against the baseline, and the
@@ -84,10 +87,15 @@ class Tree:
     """One checkout, its scratch directory and how to run its CLI."""
 
     def __init__(self, checkout: Path, work: Path):
+        cache = checkout / "src" / "drawfix" / "__pycache__"
+        if cache.exists():
+            raise SystemExit(f"error: {cache} exists; its cached bytecode would skip the "
+                             "compile that every other run pays, so remove it first")
         self.checkout = checkout
         self.work = work
         self.work.mkdir()
-        self.env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+        self.env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
+                        PYTHONDONTWRITEBYTECODE="1")
 
     def argv(self, case: str) -> list[str]:
         args = [str(self.work / a) if a == FIELD else a for a in CASES[case]]
@@ -168,7 +176,7 @@ def main(argv=None) -> int:
         "runs": args.runs,
         "commands": {case: " ".join(argv) for case, argv in CASES.items()},
         "wrapper_output_identical": True,
-        "environment": environment(np.__version__),
+        "environment": {**environment(np.__version__), "pythondontwritebytecode": "1"},
         "trees": report,
     }
     if "baseline" in report:
