@@ -360,7 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="machine output format (default json)")
 
     fix = sub.add_parser("fix", parents=[shared], help="find one draw that crowns the target")
-    fix.add_argument("--target", required=True, help="player name to make champion")
+    fix.add_argument("--target", required=True,
+                     help="player name to make champion; write a name that "
+                          "starts with '-' as --target=NAME")
     fix.set_defaults(func=cmd_fix)
 
     count = sub.add_parser("count", parents=[shared], help="count winning draws for every player")

@@ -172,6 +172,16 @@ class TestFix:
         write_prob_matrix(path, generate_cr(CrParams(n=32, upset_prob=0.4)))
         assert main(["fix", "--input", str(path), "--target", "p0"]) == 4
 
+    def test_target_name_starting_with_dash(self, tmp_path):
+        # argparse reads "--target -a" as a missing value; the = form works.
+        path, out = tmp_path / "dash.json", tmp_path / "fix.json"
+        write_prob_matrix(path, ProbabilisticTournament(
+            players=PlayerTable(("-a", "b")), probs=np.array([[0.5, 0.7], [0.3, 0.5]])))
+        assert main(["fix", "--input", str(path), "--target=-a",
+                     "--output", str(out)]) == 0
+        data = json.loads(out.read_text())["data"]
+        assert (data["target"], data["found"], data["draw"]) == ("-a", True, [0, 1])
+
 
 class TestWinprob:
     def test_exact_matches_library(self, cr8_path, tmp_path):
