@@ -377,6 +377,9 @@ def _json_matrix(text: str, path) -> ProbabilisticTournament:
     names, ranks, probs = doc.get("names"), doc.get("ranks"), doc.get("probs")
     if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
         raise ValueError(f"{path}: 'names' must be a list of strings")
+    # A \u escape can leave half a surrogate pair, which no UTF-8 output holds.
+    if re.search("[\ud800-\udfff]", "".join(names)):
+        raise ValueError(f"{path}: 'names' must not hold an unpaired surrogate")
     n = len(names)
     if not isinstance(ranks, list) or not all(type(r) is int for r in ranks):
         raise ValueError(f"{path}: 'ranks' must be a list of integers")

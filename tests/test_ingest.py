@@ -338,11 +338,14 @@ def _matrix(tmp_path, name, text):
                        '[0.5, 0.5, 0.5]]}\n'), "must be 2x2"),
     (lambda p: _matrix(p, "m.csv", '"name","a","b"\n"a",0.5,0.6\n"b",0.6,0.5\n'),
      "must equal 1"),
+    (lambda p: _matrix(p, "m.json", '{"format": "drawfix-probmatrix/1", "names": '
+                       '["\\ud800", "b"], "ranks": [1, 2], "probs": [[0.5, 0.5], '
+                       '[0.5, 0.5]]}\n'), "unpaired surrogate"),
     (lambda p: count_winning_draws(tennis_to_tournaments(
         read_h2h(DATA / "tennis_h2h.csv"), read_ranks(DATA / "tennis_ranks.csv"))[0]),
      "power of two, got 17 players"),
 ], ids=["duplicate-fixture", "negative-goals", "nan", "inf", "non-square",
-        "inconsistent", "tennis-17"])
+        "inconsistent", "lone-surrogate", "tennis-17"])
 def test_rejected_input_classes(tmp_path, load, message):
     with pytest.raises(ValueError, match=message):
         load(tmp_path)

@@ -11,8 +11,10 @@ against many rows at once as well as against one), and the upset
 model's rank recurrence to full enumeration of the draws and, in float,
 to its own exact rational run within the error bound the scan relies on.
 The command line's counts, draws, kings and exact win probabilities are
-pinned to the oracle on JSON matrices with awkward names and shuffled rows.
+pinned to the oracle on JSON matrices with awkward names and shuffled rows
+and on the same fields as CSV matrices, and its CSV rows to its JSON rows.
 """
+import csv
 import json
 import tempfile
 from fractions import Fraction
@@ -38,6 +40,7 @@ from drawfix import (
     generate_cr,
     ks_two_sample,
     simulate,
+    write_prob_matrix,
 )
 from drawfix._subsetdp import sweep
 from drawfix.cli import main
@@ -253,8 +256,8 @@ ENTRIES = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
 
 @st.composite
 def named_fields(draw):
-    """Names and a matrix in rank order, and the row order of its file."""
-    n = draw(st.sampled_from([2, 4, 8]))
+    """Names and a matrix in rank order, and the row order of its JSON file."""
+    n = draw(SIZES)
     names = draw(st.lists(NAMES, min_size=n, max_size=n, unique=True))
     probs = np.full((n, n), 0.5)
     for i in range(n):
@@ -271,6 +274,22 @@ def _cli_data(path, out, *argv):
     return code, json.loads(out.read_text(encoding="utf-8"))["data"]
 
 
+def _cli_csv(path, out, *argv):
+    """Exit code, header and rows of one command's CSV output on ``path``;
+    the header is bare, and an unquoted cell reads as a float."""
+    code = main([argv[0], "--input", str(path), *argv[1:], "--format", "csv",
+                 "--output", str(out)])
+    with open(out, newline="", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        return code, header, list(csv.reader(fh, quoting=csv.QUOTE_NONNUMERIC))
+
+
+def _csv_cells(row):
+    """A JSON row as ``--format csv`` writes it: None as an empty field,
+    a bool as 0 or 1."""
+    return ["" if v is None else int(v) if isinstance(v, bool) else v for v in row]
+
+
 @SETTINGS
 @given(named_fields())
 def test_cli_reports_match_oracle(field):
@@ -281,30 +300,54 @@ def test_cli_reports_match_oracle(field):
     counts = oracle.count_by_winner(n, beats)
     ranked = [(i + 1, name) for i, name in enumerate(names)]
     with tempfile.TemporaryDirectory() as tmp:
-        path, out = Path(tmp) / "field.json", Path(tmp) / "out.json"
-        write_rows(path, names, probs, order)
+        json_path, csv_path = Path(tmp) / "field.json", Path(tmp) / "field.csv"
+        out = Path(tmp) / "out"
+        write_rows(json_path, names, probs, order)
+        try:
+            write_prob_matrix(csv_path, ProbabilisticTournament(PlayerTable(tuple(names)),
+                                                                np.array(probs)), fmt="csv")
+        except UnicodeEncodeError:
+            # Half a surrogate pair has no UTF-8 form, so the JSON reader
+            # refuses it before any report.
+            assert main(["count", "--input", str(json_path)]) == 2
+            return
+        for path in (json_path, csv_path):
+            code, count = _cli_data(path, out, "count", "--stats", "all")
+            assert code == 0
+            assert count["total_draws"] == len(oracle.all_draws(range(n)))
+            assert [(r["rank"], r["name"]) for r in count["players"]] == ranked
+            assert [r["count"] for r in count["players"]] == counts
+            columns = ["rank", "name", "count", "share", "nodes_first", "nodes_all"]
+            assert _cli_csv(path, out, "count", "--stats", "all") == (
+                0, columns, [_csv_cells(r[c] for c in columns) for r in count["players"]])
 
-        code, count = _cli_data(path, out, "count", "--stats", "all")
-        assert code == 0
-        assert count["total_draws"] == len(oracle.all_draws(range(n)))
-        assert [(r["rank"], r["name"]) for r in count["players"]] == ranked
-        assert [r["count"] for r in count["players"]] == counts
+            for target, name in enumerate(names):
+                code, fix = _cli_data(path, out, "fix", f"--target={name}")
+                assert fix["target"] == name
+                assert fix["found"] == (counts[target] > 0)
+                assert code == (0 if fix["found"] else 3)
+                if fix["found"]:
+                    tree = oracle.leaves_tree(fix["draw"])
+                    assert oracle.tree_winner(tree, beats) == target
+                # The only CSV row with a None cell: no bracket without a draw.
+                columns = ["target", "found", "bracket", "choice_points"]
+                assert _cli_csv(path, out, "fix", f"--target={name}") == (
+                    code, columns, [_csv_cells(fix[c] for c in columns)])
 
-        for target, name in enumerate(names):
-            code, fix = _cli_data(path, out, "fix", f"--target={name}")
-            assert fix["target"] == name
-            assert fix["found"] == (counts[target] > 0)
-            assert code == (0 if fix["found"] else 3)
-            if fix["found"]:
-                tree = oracle.leaves_tree(fix["draw"])
-                assert oracle.tree_winner(tree, beats) == target
+            code, kings = _cli_data(path, out, "kings")
+            assert code == 0
+            assert kings["kings"] == [
+                name for i, name in enumerate(names) if oracle.is_king(beats, i)]
+            assert _cli_csv(path, out, "kings") == (
+                0, ["name", "is_condorcet_winner"],
+                [_csv_cells([k, k == kings["condorcet_winner"]]) for k in kings["kings"]])
 
-        assert _cli_data(path, out, "kings")[1]["kings"] == [
-            name for i, name in enumerate(names) if oracle.is_king(beats, i)]
-
-        code, winprob = _cli_data(path, out, "winprob", "--mode", "exact")
-        assert code == 0
-        assert [(r["rank"], r["name"]) for r in winprob["players"]] == ranked
-        expected = oracle.uniform_win_probs(n, probs)
-        for row, want in zip(winprob["players"], expected):
-            assert abs(row["win_prob"] - want) <= 1e-12
+            code, winprob = _cli_data(path, out, "winprob", "--mode", "exact")
+            assert code == 0
+            assert [(r["rank"], r["name"]) for r in winprob["players"]] == ranked
+            expected = oracle.uniform_win_probs(n, probs)
+            for row, want in zip(winprob["players"], expected):
+                assert abs(row["win_prob"] - want) <= 1e-12
+            columns = ["rank", "name", "win_prob"]
+            assert _cli_csv(path, out, "winprob", "--mode", "exact") == (
+                0, columns, [_csv_cells(r[c] for c in columns) for r in winprob["players"]])
