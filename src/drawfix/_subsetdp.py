@@ -66,7 +66,6 @@ _BLOCK_ROWS = 4096
 
 
 class Level(NamedTuple):
-    size: int
     masks: np.ndarray
     k: int
     a_rows: np.ndarray
@@ -74,7 +73,6 @@ class Level(NamedTuple):
 
 
 class Plan(NamedTuple):
-    n: int
     levels: tuple[Level, ...]
 
 
@@ -127,12 +125,12 @@ def plan(n: int) -> Plan:
         a_rows = row[halves.ravel()]
         np.subtract(masks[:, None], halves, out=halves)
         levels.append(
-            Level(size=size, masks=masks.astype(np.int64), k=len(rest), a_rows=a_rows,
+            Level(masks=masks.astype(np.int64), k=len(rest), a_rows=a_rows,
                   b_rows=row[halves.ravel()])
         )
         row[masks] = np.arange(len(masks))
         size *= 2
-    return Plan(n=n, levels=tuple(levels))
+    return Plan(levels=tuple(levels))
 
 
 def _levels(p: Plan, table: np.ndarray, combine, reduce, half=None):

@@ -217,7 +217,7 @@ def cmd_winprob(args: argparse.Namespace, det, prob) -> Report:
 def cmd_scan(args: argparse.Namespace, det, prob) -> Report:
     reference = EmpiricalSample.from_win_probs(exact_uniform_win_probs(prob))
     avg_upset = average_upset_probability(prob)
-    result, elapsed = _timed(scan_cr, reference, prob.n, step=args.step,
+    result, elapsed = _timed(scan_cr, reference, step=args.step,
                              threshold=args.threshold)
     # as many decimals as the step has (the grid is rounded to 10), so
     # every grid point keeps its own label

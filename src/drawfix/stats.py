@@ -260,8 +260,7 @@ def fit_power_law(
                 alpha, _ = _powerlaw_alpha(tail, float(cand))
             except ValueError:
                 continue
-            tail_sorted = np.sort(tail)
-            model = 1.0 - (tail_sorted / cand) ** (1.0 - alpha)
+            model = 1.0 - (tail / cand) ** (1.0 - alpha)
             hi = np.arange(1, tail.size + 1) / tail.size
             lo = np.arange(0, tail.size) / tail.size
             dist = max(np.abs(hi - model).max(), np.abs(lo - model).max())
@@ -449,17 +448,17 @@ class ScanResult(NamedTuple):
 
 def scan_cr(
     reference: EmpiricalSample,
-    n: int,
+    *,
     step: float = 0.01,
     threshold: float = 0.05,
 ) -> ScanResult:
     """Compare a reference win-probability sample against the upset model.
 
     For every upset probability on the grid {step, 2*step, ..., 0.5}
-    the exact model win probabilities for n players are computed and a
-    KS test is run against the reference; a grid point is accepted when
-    its p-value reaches ``threshold``.  The reference holds one win
-    probability per player, so its size must equal n.
+    the exact model win probabilities are computed and a KS test is run
+    against the reference; a grid point is accepted when its p-value
+    reaches ``threshold``.  The reference holds one win probability per
+    player, so its size is the number of players.
     ``step`` must lie in [MIN_SCAN_STEP, 0.5], so the grid has at most
     500 points.
 
@@ -475,10 +474,6 @@ def scan_cr(
     :func:`drawfix.crmodel.average_upset_probability` on the matrix the
     reference came from.
     """
-    if reference.size != n:
-        raise ValueError(
-            f"reference must hold one win probability per player ({n}), got {reference.size}"
-        )
     if not MIN_SCAN_STEP <= step <= 0.5:
         raise ValueError(f"step must lie in [{MIN_SCAN_STEP}, 0.5], got {step}")
     if not 0.0 <= threshold <= 1.0:
@@ -495,6 +490,7 @@ def scan_cr(
     # its entries lies within a relative 2 * _RANK_PROB_TOL of another
     # entry or of a reference value, or is not positive (a sample must
     # be).  Such grid points take the exact recurrence, rounded once.
+    n = reference.size
     require_exact_size(n)
     model = np.sort(_cr_rank_probs(n, np.array(grid)), axis=1)
     ref = np.array(reference.values)

@@ -187,12 +187,12 @@ def test_criterion_07_ks_correctness():
 def test_criterion_08_scan_self_consistency():
     near = EmpiricalSample.from_win_probs(
         exact_uniform_win_probs(generate_cr(CrParams(n=16, upset_prob=0.30))))
-    result = scan_cr(near, 16, step=0.01, threshold=0.05)
+    result = scan_cr(near, step=0.01, threshold=0.05)
     assert result.min_accepted <= 0.30 <= result.max_accepted
 
     far = EmpiricalSample.from_win_probs(
         exact_uniform_win_probs(generate_cr(CrParams(n=16, upset_prob=0.05))))
-    far_result = scan_cr(far, 16, step=0.01, threshold=0.05)
+    far_result = scan_cr(far, step=0.01, threshold=0.05)
     step_30 = next(s for s in far_result.steps
                    if abs(s.upset_prob - 0.30) < 1e-9)
     assert not step_30.accepted

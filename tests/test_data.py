@@ -93,8 +93,7 @@ class TestSoccerSeason:
         _, prob = soccer
         expected = load_expected("soccer_scan.json")
         reference = EmpiricalSample.from_win_probs(exact_uniform_win_probs(prob))
-        result = scan_cr(reference, 16, step=expected["step"],
-                         threshold=expected["threshold"])
+        result = scan_cr(reference, step=expected["step"], threshold=expected["threshold"])
         avg_upset = average_upset_probability(prob)
         assert result.min_accepted == pytest.approx(expected["min_accepted"])
         assert result.max_accepted == pytest.approx(expected["max_accepted"])

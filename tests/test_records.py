@@ -26,8 +26,7 @@ from drawfix.ingest import H2H_HEADER, MATCHES_HEADER
 
 
 def level():
-    return Level(size=2, masks=np.array([3]), k=1, a_rows=np.array([0]),
-                 b_rows=np.array([1]))
+    return Level(masks=np.array([3]), k=1, a_rows=np.array([0]), b_rows=np.array([1]))
 
 
 def ks():
@@ -150,14 +149,13 @@ def test_methods_and_properties_survive():
 
 def test_level_and_plan_hold_their_arrays():
     lv = level()
-    assert repr(lv) == ("Level(size=2, masks=array([3]), k=1, a_rows=array([0]), "
-                        "b_rows=array([1]))")
-    assert (lv.size, lv.k) == (2, 1)
+    assert repr(lv) == "Level(masks=array([3]), k=1, a_rows=array([0]), b_rows=array([1]))"
+    assert lv.k == 1
     assert [lv.masks.tolist(), lv.a_rows.tolist(), lv.b_rows.tolist()] == [[3], [0], [1]]
-    plan = Plan(n=2, levels=(lv,))
-    assert repr(plan) == f"Plan(n=2, levels=({lv!r},))"
-    assert plan.n == 2 and plan.levels[0] is lv
-    for record, first in ((lv, "size"), (plan, "n")):
+    plan = Plan(levels=(lv,))
+    assert repr(plan) == f"Plan(levels=({lv!r},))"
+    assert plan.levels[0] is lv
+    for record, first in ((lv, "masks"), (plan, "levels")):
         with pytest.raises(AttributeError):
             setattr(record, first, 4)
 

@@ -359,14 +359,14 @@ class TestScanCr:
     def test_truth_is_accepted(self):
         t = generate_cr(CrParams(n=8, upset_prob=0.3))
         reference = EmpiricalSample.from_win_probs(exact_uniform_win_probs(t))
-        result = scan_cr(reference, 8, step=0.1, threshold=0.05)
+        result = scan_cr(reference, step=0.1, threshold=0.05)
         accepted = [s.upset_prob for s in result.steps if s.accepted]
         assert 0.3 in [pytest.approx(u) for u in accepted]
         assert result.min_accepted <= 0.3 <= result.max_accepted
 
     def test_exact_match_step_has_p_one(self):
         reference = _exact_sample(16, 0.4)
-        result = scan_cr(reference, 16, step=0.1)
+        result = scan_cr(reference, step=0.1)
         by_u = {round(s.upset_prob, 3): s for s in result.steps}
         assert by_u[0.4].ks.statistic == 0.0
         assert by_u[0.4].ks.p_value == 1.0
@@ -374,7 +374,7 @@ class TestScanCr:
     def test_grid_covers_half_inclusive(self):
         t = generate_cr(CrParams(n=4, upset_prob=0.25))
         reference = EmpiricalSample.from_win_probs(exact_uniform_win_probs(t))
-        result = scan_cr(reference, 4, step=0.05)
+        result = scan_cr(reference, step=0.05)
         grid = [round(s.upset_prob, 3) for s in result.steps]
         assert grid[0] == 0.05
         assert grid[-1] == 0.5
@@ -384,18 +384,23 @@ class TestScanCr:
         reference = EmpiricalSample.from_values([0.1, 0.2, 0.3, 0.4])
         for step in (0.0, 1e-9, 0.000999, 0.51):
             with pytest.raises(ValueError, match="step"):
-                scan_cr(reference, 4, step=step)
+                scan_cr(reference, step=step)
 
-    def test_size_mismatch_rejected(self):
-        reference = EmpiricalSample.from_values([0.1, 0.2, 0.3])
-        with pytest.raises(ValueError):
-            scan_cr(reference, 8)
+    def test_players_are_the_reference_size(self):
+        # an old call's player count must not bind to step
+        reference = EmpiricalSample.from_values([0.1, 0.2, 0.3, 0.4])
+        with pytest.raises(TypeError):
+            scan_cr(reference, 4)
+        with pytest.raises(TypeError):
+            scan_cr(reference, step=0.1, threshold=0.05, n=4)
+        with pytest.raises(ValueError, match="power of two"):
+            scan_cr(EmpiricalSample.from_values([0.1, 0.2, 0.3]))
 
     def test_nothing_accepted_reports_none(self):
         # an extreme reference no grid point can explain
         reference = EmpiricalSample.from_values(
             [1e-9] * 15 + [1.0 - 15e-9])
-        result = scan_cr(reference, 16, step=0.1, threshold=0.05)
+        result = scan_cr(reference, step=0.1, threshold=0.05)
         assert result.min_accepted is None
         assert result.max_accepted is None
 
@@ -474,14 +479,14 @@ class TestScanCrMatchesDirectSweeps:
     @pytest.mark.parametrize("n,step,kind", _EQUIVALENCE_CASES)
     def test_small_fields(self, n, step, kind):
         reference = _reference(kind, n, step)
-        assert scan_cr(reference, n, step=step) == _direct_scan(reference, n, step)
+        assert scan_cr(reference, step=step) == _direct_scan(reference, n, step)
 
     def test_sixteen_players(self):
         cr = EmpiricalSample.from_win_probs(
             exact_uniform_win_probs(generate_cr(CrParams(16, 0.3))))
         for reference in (_soccer_sample(), cr):
             for step in (0.01, 0.05, 0.1):
-                assert scan_cr(reference, 16, step=step) == _direct_scan(reference, 16, step)
+                assert scan_cr(reference, step=step) == _direct_scan(reference, 16, step)
 
     def test_fixtures_match_one_float_sweep_per_point(self):
         # The float sweep is up to 2.9e-13 relative off the exact model, yet
@@ -490,7 +495,7 @@ class TestScanCrMatchesDirectSweeps:
         for reference in (_soccer_sample(), _league_sample("mini"), _tennis_sample()):
             n = reference.size
             want = _scan_against(reference, sweeps[n].__getitem__, 0.01)
-            assert scan_cr(reference, n, step=0.01) == want
+            assert scan_cr(reference, step=0.01) == want
 
     @pytest.mark.parametrize("league,counts", [("soccer", 15), ("mini", 7)])
     def test_one_lattice_count_per_tie_pattern(self, league, counts):
@@ -498,7 +503,7 @@ class TestScanCrMatchesDirectSweeps:
         # sample's tie runs end and on the distance, so few distinct counts
         reference = _league_sample(league)
         stats._permutation_p.cache_clear()
-        scan_cr(reference, reference.size, step=0.001)
+        scan_cr(reference, step=0.001)
         assert stats._permutation_p.cache_info().misses == counts
 
     def test_soccer_sweeps_only_undecided_points(self, monkeypatch):
@@ -514,7 +519,7 @@ class TestScanCrMatchesDirectSweeps:
             _sweep_sample(4, 0.3)
         for reference in references:
             for step in (0.1, 0.01, 0.001):
-                scan_cr(reference, reference.size, step=step)
+                scan_cr(reference, step=step)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
     def test_coin_flip_sample_is_the_exact_sweep(self, n, monkeypatch):
@@ -533,7 +538,7 @@ class TestScanCrMatchesDirectSweeps:
         reference = EmpiricalSample.from_values(np.arange(1.0, n + 1) / (n * (n + 1) / 2))
         monkeypatch.setattr(stats, "_ks_rows", spy)
         monkeypatch.setattr(EmpiricalSample, "__post_init__", no_sample)
-        scan_cr(reference, n, step=0.5)
+        scan_cr(reference, step=0.5)
         # every match is a coin flip, so every player wins with exactly 1/n
         assert scored == [[[1 / n] * n]]
 
@@ -554,7 +559,7 @@ class TestScanCrMatchesDirectSweeps:
         monkeypatch.setattr(stats, "_cr_rank_probs", perturbed)
         for step in (0.1, 0.05):
             reference = _reference("on-grid", n, step)
-            assert scan_cr(reference, n, step=step) == _direct_scan(reference, n, step)
+            assert scan_cr(reference, step=step) == _direct_scan(reference, n, step)
 
 
 class TestCrRankProbs:

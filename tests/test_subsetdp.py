@@ -53,8 +53,10 @@ def test_plan_matches_itertools_reference(n):
 def test_plan_at_the_exact_limit():
     n = 16
     prev = 1 << np.arange(n, dtype=np.int64)
-    for level in _subsetdp.plan(n).levels:
-        s, k, masks = level.size, level.k, level.masks
+    levels = _subsetdp.plan(n).levels
+    assert len(levels) == 4
+    for s, level in zip((2, 4, 8, 16), levels):
+        k, masks = level.k, level.masks
         assert level.a_rows.dtype == level.b_rows.dtype == np.uint16
         assert len(np.unique(masks)) == len(masks) == comb(n, s)
         assert (((masks[:, None] >> np.arange(n)) & 1).sum(axis=1) == s).all()

@@ -157,7 +157,7 @@ def main() -> None:
         {"win_probs": {name: p for name, p in zip(SOCCER_TEAMS, vector.entries)}},
     )
     reference = EmpiricalSample.from_win_probs(vector)
-    scan = scan_cr(reference, 16, step=0.01, threshold=0.05)
+    scan = scan_cr(reference, step=0.01, threshold=0.05)
     write_json(
         DATA / "expected" / "soccer_scan.json",
         {
