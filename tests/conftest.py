@@ -57,12 +57,13 @@ def random_probabilistic(n: int, rng) -> ProbabilisticTournament:
 
 
 def write_rows(path, names, probs, order):
-    """A JSON matrix file listing the rank-ordered field's rows in ``order``."""
+    """A JSON matrix file listing the rank-ordered field's rows in ``order``,
+    each entry written as given: an int as an int, a float as a float."""
     doc = {
         "format": "drawfix-probmatrix/1",
         "names": [names[i] for i in order],
         "ranks": [i + 1 for i in order],
-        "probs": [[float(probs[i][j]) for j in order] for i in order],
+        "probs": [[probs[i][j] for j in order] for i in order],
     }
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
 

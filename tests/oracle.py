@@ -80,6 +80,67 @@ def count_by_winner(n, beats):
     return counts
 
 
+def descent_choice_points(beats):
+    """``(nodes_first, nodes_all)``: per player, the halvings that a
+    depth-first assembly of the player's winning draws examines up to its
+    first draw and over all of them, or 0 and 0 for a player who wins none.
+
+    Assembling the draws of a sub-bracket S won by w examines every
+    halving of S, with min(S) in the first half and the first half's other
+    members in lexicographic order.  It goes into a halving when w can win
+    its own half and beats someone who can win the other, and then pairs
+    each draw of the first half with each draw of the second, taking the
+    other half's winners in id order.  Who can win a sub-bracket comes from
+    playing out every one of its draws.
+    """
+    n = len(beats)
+    winners = {}
+
+    def can_win(players):
+        key = tuple(players)
+        if key not in winners:
+            winners[key] = {tree_winner(tree, beats) for tree in all_draws(players)}
+        return winners[key]
+
+    def walk(players, w, halvings):
+        # Yields the leaf tuples of every draw of ``players`` won by w,
+        # adding each halving it examines to halvings[0].
+        if len(players) == 1:
+            yield (w,)
+            return
+        first, rest = players[0], players[1:]
+        for mates in itertools.combinations(rest, len(players) // 2 - 1):
+            a = [first, *mates]
+            b = [p for p in rest if p not in mates]
+            halvings[0] += 1
+            own, other = (a, b) if w in a else (b, a)
+            rivals = sorted(j for j in can_win(other) if beats[w][j])
+            if w not in can_win(own) or not rivals:
+                continue
+            if own is a:
+                for left in walk(a, w, halvings):
+                    for j in rivals:
+                        for right in walk(b, j, halvings):
+                            yield left + right
+            else:
+                for j in rivals:
+                    for left in walk(a, j, halvings):
+                        for right in walk(b, w, halvings):
+                            yield left + right
+
+    nodes_first, nodes_all = [0] * n, [0] * n
+    field = list(range(n))
+    for w in can_win(field):
+        halvings = [0]
+        draws = walk(field, w, halvings)
+        next(draws)
+        nodes_first[w] = halvings[0]
+        for _ in draws:
+            pass
+        nodes_all[w] = halvings[0]
+    return nodes_first, nodes_all
+
+
 def uniform_win_probs(n, probs):
     """Exact uniform-draw win probabilities by full enumeration.
 

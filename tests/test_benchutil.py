@@ -1,8 +1,9 @@
 """The bench tools' shared driver (tools/benchutil.py) on synthetic values.
 
 No child process starts here: every ``measure`` is a stand-in that
-returns made-up metrics, so these tests pin the alternation order, the
-summaries, the ratio block and the document's schema, not any timing.
+returns made-up metrics, so these tests pin each tree's clean copy of
+its source, the alternation order, the summaries, the ratio block and
+the document's schema, not any timing.
 """
 import json
 import sys
@@ -54,37 +55,41 @@ def test_ratios_divide_the_current_median_by_the_baseline_median():
                                                                 "m": {"x": 1.5}}
 
 
-def test_compare_primes_each_tree_then_writes_one_schema(tmp_path):
+def test_compare_prepares_clean_copies_then_writes_one_schema(tmp_path, monkeypatch):
+    monkeypatch.delenv("PYTHONPYCACHEPREFIX", raising=False)
+    # A baseline checkout whose src/ holds bytecode from an earlier run.
+    checkout = tmp_path / "checkout"
+    (checkout / "src" / "drawfix" / "__pycache__").mkdir(parents=True)
+    (checkout / "src" / "drawfix" / "__init__.py").write_text("")
+    planted = checkout / "src" / "drawfix" / "__pycache__" / "__init__.cpython-311.pyc"
+    planted.write_bytes(b"stale")
+    sides = {checkout: "baseline", benchutil.ROOT: "current"}
     seen = []
 
     def prepare(tree):
-        seen.append(("prepare", tree.work.name))
+        seen.append(("prepare", sides[tree.checkout]))
 
     def measure(tree, case):
-        if "PYTHONDONTWRITEBYTECODE" not in tree.env:
-            # the untimed pass: the stand-in "writes" bytecode to the prefix
-            for package in ("numpy", "drawfix"):
-                (tree.pycache / "lib" / package).mkdir(parents=True, exist_ok=True)
-            seen.append(("prime", tree.work.name, case))
-            return {"wall_s": 0.0, "peak_mb": 0.0}
+        side = sides[tree.checkout]
         assert tree.env["PYTHONDONTWRITEBYTECODE"] == "1"
-        assert tree.env["PYTHONPATH"] == str(tree.checkout / "src")
-        assert [p.name for p in (tree.pycache / "lib").iterdir()] == ["numpy"]
-        seen.append(("run", tree.work.name, case))
-        run = sum(1 for s in seen if s[0] == "run" and s[1:] == (tree.work.name, case))
-        scale = 2.0 if tree.work.name == "baseline" else 1.0
+        assert tree.env["PYTHONPATH"] == str(tree.src)
+        assert "PYTHONPYCACHEPREFIX" not in tree.env
+        assert (tree.src / "drawfix" / "__init__.py").exists()
+        assert not list(tree.src.rglob("__pycache__"))
+        seen.append(("run", side, case))
+        run = sum(1 for s in seen if s == ("run", side, case))
+        scale = 2.0 if side == "baseline" else 1.0
         return {"wall_s": scale * run * (1 if case == "x" else 10), "peak_mb": 5.0}
 
     out = tmp_path / "bench.json"
-    argv = ["--baseline", str(benchutil.ROOT), "--runs", "3", "--output", str(out)]
+    argv = ["--baseline", str(checkout), "--runs", "3", "--output", str(out)]
     assert benchutil.compare("Synthetic.\n", {"x": "case x", "y": "case y"}, measure,
                              "made-up values", prepare, argv) == 0
-    assert seen[:6] == [("prepare", "baseline"), ("prime", "baseline", "x"),
-                        ("prime", "baseline", "y"), ("prepare", "current"),
-                        ("prime", "current", "x"), ("prime", "current", "y")]
-    assert seen[6:10] == [("run", "baseline", "x"), ("run", "current", "x"),
-                          ("run", "baseline", "y"), ("run", "current", "y")]
-    assert len(seen) == 6 + 3 * 2 * 2
+    assert seen[:6] == [("prepare", "baseline"), ("prepare", "current"),
+                        ("run", "baseline", "x"), ("run", "current", "x"),
+                        ("run", "baseline", "y"), ("run", "current", "y")]
+    assert len(seen) == 2 + 3 * 2 * 2
+    assert planted.read_bytes() == b"stale"
 
     doc = json.loads(out.read_text())
     assert list(doc) == ["what", "runs", "cases", "environment", "trees",

@@ -10,9 +10,10 @@ lattice-path count, to full enumeration of the splits (one sample
 against many rows at once as well as against one), and the upset
 model's rank recurrence to full enumeration of the draws and, in float,
 to its own exact rational run within the error bound the scan relies on.
-The command line's counts, draws, kings and exact win probabilities are
-pinned to the oracle on JSON matrices with awkward names and shuffled rows
-and on the same fields as CSV matrices, and its CSV rows to its JSON rows.
+The command line's counts, choice points, draws, kings and exact win
+probabilities are pinned to the oracle on JSON matrices with awkward names
+and shuffled rows, probability matrices and 0/1 relations alike, and on
+the same fields as CSV matrices, and its CSV rows to its JSON rows.
 """
 import csv
 import json
@@ -256,15 +257,20 @@ ENTRIES = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
 
 @st.composite
 def named_fields(draw):
-    """Names and a matrix in rank order, and the row order of its JSON file."""
+    """Names and a matrix in rank order, and the row order of its JSON file.
+
+    About half the matrices are 0/1 relations with int entries, cycles
+    included, and the rest probability matrices.
+    """
     n = draw(SIZES)
     names = draw(st.lists(NAMES, min_size=n, max_size=n, unique=True))
-    probs = np.full((n, n), 0.5)
+    binary = draw(st.booleans())
+    probs = [[0 if binary else 0.5] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            probs[i, j] = draw(ENTRIES)
-            probs[j, i] = 1.0 - probs[i, j]
-    return names, probs.tolist(), draw(st.permutations(range(n)))
+            probs[i][j] = draw(st.sampled_from([0, 1]) if binary else ENTRIES)
+            probs[j][i] = 1 - probs[i][j]
+    return names, probs, draw(st.permutations(range(n)))
 
 
 def _cli_data(path, out, *argv):
@@ -290,7 +296,7 @@ def _csv_cells(row):
     return ["" if v is None else int(v) if isinstance(v, bool) else v for v in row]
 
 
-@SETTINGS
+@settings(SETTINGS, max_examples=80)
 @given(named_fields())
 def test_cli_reports_match_oracle(field):
     names, probs, order = field
@@ -298,6 +304,7 @@ def test_cli_reports_match_oracle(field):
     beats = [[probs[i][j] > 0.5 or (probs[i][j] == 0.5 and i < j) for j in range(n)]
              for i in range(n)]
     counts = oracle.count_by_winner(n, beats)
+    nodes_first, nodes_all = oracle.descent_choice_points(beats)
     ranked = [(i + 1, name) for i, name in enumerate(names)]
     with tempfile.TemporaryDirectory() as tmp:
         json_path, csv_path = Path(tmp) / "field.json", Path(tmp) / "field.csv"
@@ -317,6 +324,8 @@ def test_cli_reports_match_oracle(field):
             assert count["total_draws"] == len(oracle.all_draws(range(n)))
             assert [(r["rank"], r["name"]) for r in count["players"]] == ranked
             assert [r["count"] for r in count["players"]] == counts
+            assert [r["nodes_first"] for r in count["players"]] == nodes_first
+            assert [r["nodes_all"] for r in count["players"]] == nodes_all
             columns = ["rank", "name", "count", "share", "nodes_first", "nodes_all"]
             assert _cli_csv(path, out, "count", "--stats", "all") == (
                 0, columns, [_csv_cells(r[c] for c in columns) for r in count["players"]])
@@ -326,6 +335,7 @@ def test_cli_reports_match_oracle(field):
                 assert fix["target"] == name
                 assert fix["found"] == (counts[target] > 0)
                 assert code == (0 if fix["found"] else 3)
+                assert fix["choice_points"] == nodes_first[target]
                 if fix["found"]:
                     tree = oracle.leaves_tree(fix["draw"])
                     assert oracle.tree_winner(tree, beats) == target

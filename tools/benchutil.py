@@ -8,19 +8,19 @@ checkout and, with ``--baseline``, the other checkout, and writes one
 JSON document.
 
 Process model: every run starts one fresh child per tree and case
-(``Tree.run``).  A child runs from its checkout's root with only that
-checkout's ``src/`` on PYTHONPATH and with ``PYTHONDONTWRITEBYTECODE=1``.
-Its ``PYTHONPYCACHEPREFIX`` is a directory of the tree's own that holds
-the bytecode of every module the cases import except drawfix, so each
-child compiles drawfix from source, as on a fresh checkout, even when
-the checkout has a ``src/drawfix/__pycache__``, while the standard
-library and numpy load from bytecode as they do there.  The trees take
-turns on every case, and the side that goes first alternates from run
-to run, so both see the same machine load.
+(``Tree.run``).  Each tree first copies its checkout's ``src/``, without
+any ``__pycache__``, into a work directory of its own.  A child runs
+from its checkout's root with only that copy on PYTHONPATH and with
+``PYTHONDONTWRITEBYTECODE=1``, so it compiles drawfix from source, as on
+a fresh checkout, even when the checkout has a
+``src/drawfix/__pycache__``, while the standard library and numpy load
+from their installed bytecode.  The trees take turns on every case, and
+the side that goes first alternates from run to run, so both see the
+same machine load.
 
 Schema: ``trees`` holds, per tree, ``commit``, ``src_modified`` and
-``sources_sha256`` (over ``src/drawfix/*.py``), then per metric and per
-case the ``median``, ``q1`` and ``q3`` over the runs;
+``sources_sha256`` (over the copy's ``src/drawfix/*.py``), then per
+metric and per case the ``median``, ``q1`` and ``q3`` over the runs;
 ``current_over_baseline`` holds per metric and per case the ratio of
 the two medians.
 """
@@ -81,16 +81,16 @@ def ratios(baseline: dict, current: dict) -> dict:
             for metric, cases in baseline.items()}
 
 
-def describe(checkout: Path) -> dict:
-    """The commit of a checkout, whether its src/ differs from it, and a
-    digest of its ``src/drawfix/*.py``."""
+def describe(tree: Tree) -> dict:
+    """The commit of a tree's checkout, whether its src/ differs from it,
+    and a digest of the copy's ``src/drawfix/*.py``, the source that ran."""
     def git(*args):
-        out = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True,
+        out = subprocess.run(["git", "-C", str(tree.checkout), *args], capture_output=True,
                              text=True)
         return out.stdout.strip() if out.returncode == 0 else None
 
     digest = hashlib.sha256()
-    for module in sorted((checkout / "src" / "drawfix").glob("*.py")):
+    for module in sorted((tree.src / "drawfix").glob("*.py")):
         digest.update(module.read_bytes())
     status = git("status", "--porcelain", "--", "src")
     return {
@@ -113,16 +113,16 @@ def environment() -> dict:
 
 
 class Tree:
-    """One checkout, its scratch directory and how its children start."""
+    """One checkout, a clean copy of its source and how its children start."""
 
     def __init__(self, checkout: Path, work: Path):
         self.checkout = checkout
         self.work = work
         self.result = work / "result.json"
-        self.pycache = work / "pycache"
-        self.pycache.mkdir(parents=True)
-        self.env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
-                        PYTHONPYCACHEPREFIX=str(self.pycache), PYTHONDONTWRITEBYTECODE="1")
+        self.src = work / "src"
+        shutil.copytree(checkout / "src", self.src,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        self.env = dict(os.environ, PYTHONPATH=str(self.src), PYTHONDONTWRITEBYTECODE="1")
 
     def run(self, *args: str):
         """Run ``python *args`` from the checkout's root.  Returns the wall
@@ -144,21 +144,10 @@ class Tree:
                              + proc.stderr.decode())
         result = json.loads(self.result.read_text())
         origin = Path(result.pop("drawfix")).resolve()
-        if not origin.is_relative_to((self.checkout / "src").resolve()):
-            raise SystemExit(f"error: {self.checkout}/src did not provide drawfix ({origin})")
+        if not origin.is_relative_to(self.src.resolve()):
+            raise SystemExit(f"error: the copy of {self.checkout}/src did not provide "
+                             f"drawfix ({origin})")
         return wall, result, proc
-
-    def prime(self, cases, measure, prepare) -> None:
-        """Run ``prepare`` and every case once, writing bytecode into the
-        tree's own prefix, then delete drawfix's bytecode from it."""
-        del self.env["PYTHONDONTWRITEBYTECODE"]
-        if prepare:
-            prepare(self)
-        for case in cases:
-            measure(self, case)
-        self.env["PYTHONDONTWRITEBYTECODE"] = "1"
-        for package in list(self.pycache.glob("**/drawfix")):
-            shutil.rmtree(package, ignore_errors=True)
 
 
 def compare(doc: str, cases: dict[str, str], measure, what: str, prepare=None,
@@ -181,12 +170,16 @@ def compare(doc: str, cases: dict[str, str], measure, what: str, prepare=None,
     if args.baseline:
         checkouts = {"baseline": args.baseline.resolve(), "current": ROOT}
     with tempfile.TemporaryDirectory(prefix="bench_") as tmp:
-        trees = {label: Tree(checkout, Path(tmp) / label)
+        # One-letter work directories: the copies' paths differ in no
+        # more than that letter.
+        trees = {label: Tree(checkout, Path(tmp) / label[0])
                  for label, checkout in checkouts.items()}
-        for tree in trees.values():
-            tree.prime(cases, measure, prepare)
+        if prepare:
+            for tree in trees.values():
+                prepare(tree)
         runs = alternate(list(trees), list(cases), args.runs,
                          lambda label, case: measure(trees[label], case))
+        described = {label: describe(tree) for label, tree in trees.items()}
 
     summaries = {label: summarize(runs[label]) for label in checkouts}
     out = {
@@ -194,8 +187,7 @@ def compare(doc: str, cases: dict[str, str], measure, what: str, prepare=None,
         "runs": args.runs,
         "cases": cases,
         "environment": environment(),
-        "trees": {label: {**describe(checkout), **summaries[label]}
-                  for label, checkout in checkouts.items()},
+        "trees": {label: {**described[label], **summaries[label]} for label in checkouts},
     }
     if "baseline" in summaries:
         out["current_over_baseline"] = ratios(summaries["baseline"], summaries["current"])
