@@ -170,8 +170,8 @@ def compare(doc: str, cases: dict[str, str], measure, what: str, prepare=None,
     if args.baseline:
         checkouts = {"baseline": args.baseline.resolve(), "current": ROOT}
     with tempfile.TemporaryDirectory(prefix="bench_") as tmp:
-        # One-letter work directories: the copies' paths differ in no
-        # more than that letter.
+        # One-letter work directories give both copies paths of one
+        # length; a path's length alone can move timings.
         trees = {label: Tree(checkout, Path(tmp) / label[0])
                  for label, checkout in checkouts.items()}
         if prepare:
