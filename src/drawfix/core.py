@@ -12,7 +12,6 @@ exactly n!/2^(n-1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -90,14 +89,46 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class PlayerTable:
+class _Frozen:
+    """Fields named in ``__match_args__``, set once by ``__init__``.
+
+    The repr shows the fields in that order, and two objects of the same
+    class are equal, and hash alike, when their fields are.  A field
+    cannot be assigned or deleted after ``__init__``.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__match_args__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PlayerTable(_Frozen):
     """Roster of n players listed best first: id i has rank i + 1."""
 
-    names: tuple[str, ...]
+    __match_args__ = ("names",)
 
-    def __post_init__(self):
-        names = tuple(self.names)
+    def __init__(self, names: Iterable[str]):
+        names = tuple(names)
         object.__setattr__(self, "names", names)
         if not names:
             raise ValueError("player table must not be empty")
@@ -123,16 +154,19 @@ class PlayerTable:
         return tuple(range(self.n))
 
 
-@dataclass(frozen=True, eq=False)
-class DeterministicTournament:
-    """Complete pairwise win relation: beats[i, j] is True iff i beats j."""
+class DeterministicTournament(_Frozen):
+    """Complete pairwise win relation: beats[i, j] is True iff i beats j.
 
-    players: PlayerTable
-    beats: np.ndarray
+    Two tournaments are equal only when they are the same object.
+    """
 
-    def __post_init__(self):
-        n = self.players.n
-        beats = np.array(self.beats, dtype=bool)
+    __match_args__ = ("players", "beats")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, players: PlayerTable, beats):
+        n = players.n
+        beats = np.array(beats, dtype=bool)
         if beats.shape != (n, n):
             raise ValueError(f"beats must be {n}x{n}")
         if beats.diagonal().any():
@@ -140,6 +174,7 @@ class DeterministicTournament:
         off = ~np.eye(n, dtype=bool)
         if not (beats ^ beats.T)[off].all():
             raise ValueError("every pair needs exactly one winner")
+        object.__setattr__(self, "players", players)
         object.__setattr__(self, "beats", _readonly(beats))
 
     @property
@@ -153,21 +188,22 @@ class DeterministicTournament:
         return ProbabilisticTournament(players=self.players, probs=p)
 
 
-@dataclass(frozen=True, eq=False)
-class ProbabilisticTournament:
+class ProbabilisticTournament(_Frozen):
     """Pairwise win probabilities: probs[i, j] is the chance i beats j.
 
     Rows and columns are consistent (probs + probs.T == 1 off the
     diagonal, within 1e-12).  Diagonal entries are unused and stored as
-    0.5 by convention.
+    0.5 by convention.  Two tournaments are equal only when they are the
+    same object.
     """
 
-    players: PlayerTable
-    probs: np.ndarray
+    __match_args__ = ("players", "probs")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        n = self.players.n
-        p = np.array(self.probs, dtype=float)
+    def __init__(self, players: PlayerTable, probs):
+        n = players.n
+        p = np.array(probs, dtype=float)
         if p.shape != (n, n):
             raise ValueError(f"probs must be {n}x{n}")
         if np.isnan(p).any() or (p < 0).any() or (p > 1).any():
@@ -176,6 +212,7 @@ class ProbabilisticTournament:
         if np.abs((p + p.T) - 1.0)[off].max(initial=0.0) > 1e-12:
             raise ValueError("probs[i, j] + probs[j, i] must equal 1")
         np.fill_diagonal(p, 0.5)
+        object.__setattr__(self, "players", players)
         object.__setattr__(self, "probs", _readonly(p))
 
     @property
@@ -217,8 +254,7 @@ def canonicalize(leaves: Iterable[int]) -> "Draw":
     return Draw(_canon(seq)[0])
 
 
-@dataclass(frozen=True)
-class Draw:
+class Draw(_Frozen):
     """A canonical draw: leaf order of the bracket tree.
 
     Adjacent pairs meet in round one, adjacent pairs of pairs in round
@@ -226,10 +262,10 @@ class Draw:
     :func:`canonicalize` to normalise an arbitrary leaf order.
     """
 
-    leaves: tuple[int, ...]
+    __match_args__ = ("leaves",)
 
-    def __post_init__(self):
-        seq = tuple(self.leaves)
+    def __init__(self, leaves: Iterable[int]):
+        seq = tuple(leaves)
         object.__setattr__(self, "leaves", seq)
         require_bracket_size(len(seq))
         if sorted(seq) != list(range(len(seq))):

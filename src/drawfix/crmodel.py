@@ -6,11 +6,9 @@ independent coin flip in which the favourite wins with probability
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import PlayerTable, ProbabilisticTournament, require_model_size
+from .core import PlayerTable, ProbabilisticTournament, _Frozen, require_model_size
 
 __all__ = [
     "CrParams",
@@ -19,8 +17,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CrParams:
+class CrParams(_Frozen):
     """Model parameters: bracket size and the per-match upset probability.
 
     n is a power of two of at most MAX_MODEL_PLAYERS.  upset_prob = 0.5
@@ -28,15 +25,14 @@ class CrParams:
     random tournament.
     """
 
-    n: int
-    upset_prob: float
+    __match_args__ = ("n", "upset_prob")
 
-    def __post_init__(self):
-        require_model_size(self.n)
-        if not 0.0 < self.upset_prob <= 0.5:
-            raise ValueError(
-                f"upset_prob must lie in (0.0, 0.5], got {self.upset_prob}"
-            )
+    def __init__(self, n: int, upset_prob: float):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "upset_prob", upset_prob)
+        require_model_size(n)
+        if not 0.0 < upset_prob <= 0.5:
+            raise ValueError(f"upset_prob must lie in (0.0, 0.5], got {upset_prob}")
 
 
 def generate_cr(params: CrParams) -> ProbabilisticTournament:

@@ -9,7 +9,6 @@ brute-force enumeration.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +35,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class SearchStats:
     """Instrumentation counters for one solve.
 
@@ -47,8 +45,23 @@ class SearchStats:
     draw.  Both are reproducible: the same input gives the same stats.
     """
 
-    choice_points: int = 0
-    solutions_found: int = 0
+    __match_args__ = ("choice_points", "solutions_found")
+
+    def __init__(self, choice_points: int = 0, solutions_found: int = 0):
+        self.choice_points = choice_points
+        self.solutions_found = solutions_found
+
+    def __repr__(self) -> str:
+        return (f"SearchStats(choice_points={self.choice_points!r}, "
+                f"solutions_found={self.solutions_found!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.choice_points, self.solutions_found) == (
+            other.choice_points, other.solutions_found)
+
+    __hash__ = None  # mutable
 
 
 class WinCountReport(NamedTuple):

@@ -17,14 +17,13 @@ samples and the whole grid, as one array of model rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, erfc, exp, fsum, log, pi, sqrt
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .core import require_exact_size
+from .core import _Frozen, require_exact_size
 from .winprob import WinProbVector
 
 __all__ = [
@@ -49,16 +48,15 @@ class UndefinedTestError(ValueError):
     """The requested test statistic is undefined on this input."""
 
 
-@dataclass(frozen=True)
-class EmpiricalSample:
+class EmpiricalSample(_Frozen):
     """Positive observations, stored sorted ascending."""
 
-    values: tuple[float, ...]
+    __match_args__ = ("values",)
 
-    def __post_init__(self):
-        if not self.values:
+    def __init__(self, values: Iterable[float]):
+        vals = tuple(float(v) for v in values)
+        if not vals:
             raise ValueError("sample must not be empty")
-        vals = tuple(float(v) for v in self.values)
         if any(not np.isfinite(v) or v <= 0 for v in vals):
             raise ValueError("sample values must be positive and finite")
         if any(a > b for a, b in zip(vals, vals[1:])):

@@ -10,13 +10,13 @@ cross-check).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _subsetdp
 from .core import (
     ProbabilisticTournament,
+    _Frozen,
     as_rng,
     bracket_survival,
     num_draws,
@@ -41,23 +41,23 @@ MAX_WORKERS = 64
 MAX_SAMPLES = 10_000_000
 
 
-@dataclass(frozen=True)
-class WinProbVector:
+class WinProbVector(_Frozen):
     """Per-player championship probabilities under a uniform draw."""
 
-    entries: tuple[float, ...]
-    method: str
-    samples: int | None = None
+    __match_args__ = ("entries", "method", "samples")
 
-    def __post_init__(self):
-        if self.method not in ("exact", "sampled"):
-            raise ValueError(f"unknown method tag: {self.method}")
-        if (self.method == "sampled") != (self.samples is not None):
+    def __init__(self, entries: tuple[float, ...], method: str, samples: int | None = None):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "samples", samples)
+        if method not in ("exact", "sampled"):
+            raise ValueError(f"unknown method tag: {method}")
+        if (method == "sampled") != (samples is not None):
             raise ValueError("sample count goes with the sampled method only")
-        if any(not 0 <= e <= 1 for e in self.entries):
+        if any(not 0 <= e <= 1 for e in entries):
             raise ValueError("entries must be probabilities")
-        tol = 1e-9 if self.method == "exact" else 1e-6
-        if not abs(sum(self.entries) - 1.0) <= tol:
+        tol = 1e-9 if method == "exact" else 1e-6
+        if not abs(sum(entries) - 1.0) <= tol:
             raise ValueError("entries must sum to 1")
 
     @property

@@ -551,6 +551,14 @@ def test_cli_import_leaves_thread_pool_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_dataclasses_unloaded():
+    # the checked classes are plain classes: no generated code at import
+    code = "import sys, drawfix; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=_cli_env(), check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
 def _default_fit_loads(module):
     """Run a default ``fit`` in a fresh process; report its exit code and
     whether ``module`` was imported."""

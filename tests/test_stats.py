@@ -532,12 +532,12 @@ class TestScanCrMatchesDirectSweeps:
             scored.append(model.tolist())
             return ks_rows(reference, model)
 
-        def no_sample(self):
+        def no_sample(self, values):
             raise AssertionError("the scan built an EmpiricalSample")
 
         reference = EmpiricalSample.from_values(np.arange(1.0, n + 1) / (n * (n + 1) / 2))
         monkeypatch.setattr(stats, "_ks_rows", spy)
-        monkeypatch.setattr(EmpiricalSample, "__post_init__", no_sample)
+        monkeypatch.setattr(EmpiricalSample, "__init__", no_sample)
         scan_cr(reference, step=0.5)
         # every match is a coin flip, so every player wins with exactly 1/n
         assert scored == [[[1 / n] * n]]
