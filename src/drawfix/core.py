@@ -314,10 +314,102 @@ def simulate(draw: Draw, t: DeterministicTournament) -> int:
     return alive[0]
 
 
-# Round two of a chunk holds rows x n/2 x n floats (512 KiB here), so a
-# chunk's rounds stay in a core's cache; a 4,096-draw batch at 16 players
-# is eight chunks.
+# The first dense round of a chunk holds rows x n/4 x n floats (512 KiB
+# here), so a chunk's rounds stay in a core's cache; a 4,096-draw batch
+# at 16 players is four chunks.
 _CHUNK_ENTRIES = 1 << 16
+
+
+def _pair_table(probs: np.ndarray) -> np.ndarray:
+    """n x n x n table: w[x, y, i] is i's chance to beat the winner of x
+    against y, that is P[x, y]·P[i, x] + P[y, x]·P[i, y]."""
+    mt = probs.T
+    return probs[:, :, None] * mt[:, None, :] + mt[:, :, None] * mt[None, :, :]
+
+
+class _Survival:
+    """Scores batches of up to ``rows`` brackets of one field.
+
+    Every batch reuses the same survival, index and round buffers: fresh
+    pages for each round's arrays cost about as much as the arithmetic on
+    them.  Calling it with a b x n array of leaf orders returns a b x n
+    view of its survival buffer, valid until the next call; see
+    :func:`bracket_survival` for the method.
+    """
+
+    def __init__(self, probs: np.ndarray, table: np.ndarray, rows: int):
+        n = len(probs)
+        self.flat_probs = probs.ravel()
+        self.flat_table = table.ravel()
+        self.mt = np.ascontiguousarray(probs.T)
+        self.survival = np.ones((rows, n))  # a lone player always wins
+        self.step = step = min(rows, max(1, _CHUNK_ENTRIES // max(1, n * n // 4)))
+        # Leaf j of a chunk row lands in block j // 4 of the first dense
+        # round, whose blocks hold four leaves each (two at n = 2).
+        self.first_blocks = n // min(n, 4)
+        self.block_of = np.arange(n) // min(n, 4)
+        self.block_offsets = np.empty(n, dtype=np.intp)
+        self.row_offsets = np.arange(step)[:, None] * n
+        self.index = np.empty((2, step, n), dtype=np.intp)
+        self.won = np.empty((2, step, n))
+        self.blocks, self.prod = np.empty((2, step * max(1, n // 4) * n))
+
+    def __call__(self, leaves: np.ndarray) -> np.ndarray:
+        b, n = leaves.shape
+        out = self.survival[:b]
+        if n == 1:
+            return out
+        for start in range(0, b, self.step):
+            ids = leaves[start:start + self.step]
+            self._chunk(ids, out[start:start + len(ids)])
+        return out
+
+    def _chunk(self, ids: np.ndarray, out: np.ndarray) -> None:
+        m, n = ids.shape
+        own, other = self.index[:, :m]
+        first, second = self.won[:, :m]
+        # Round one: own holds x * n + y for each leaf x and its opponent y.
+        pairs = own.reshape(m, n // 2, 2)
+        np.multiply(ids[:, 0::2], n, out=pairs[..., 0])
+        pairs[..., 0] += ids[:, 1::2]
+        np.multiply(ids[:, 1::2], n, out=pairs[..., 1])
+        pairs[..., 1] += ids[:, 0::2]
+        self.flat_probs.take(own, out=first)
+        if n > 2:
+            # Round two: other holds (x * n + y) * n + i for leaf i and the
+            # pair x, y it meets, so the table gives i's chance to beat
+            # the winner of that pair.
+            quads = other.reshape(m, n // 4, 2, 2)
+            codes = pairs[..., 0].reshape(m, n // 4, 2)
+            quads[:, :, 0] = codes[:, :, 1, None]
+            quads[:, :, 1] = codes[:, :, 0, None]
+            other *= n
+            other += ids
+            self.flat_table.take(other, out=second)
+            first *= second
+
+        def level(k):
+            # k blocks of m rows; the last round writes the output rows.
+            return out.reshape(1, m, n) if k == 1 else self.blocks[:k * m * n].reshape(k, m, n)
+
+        # Scatter each leaf's survival into its block's row, at its player:
+        # block j // 4 of row r starts at flat index ((j // 4) * m + r) * n.
+        k = self.first_blocks
+        blocks = level(k)
+        np.multiply(self.block_of, m * n, out=self.block_offsets)
+        np.add(ids, self.block_offsets, out=other)
+        other += self.row_offsets[:m]
+        blocks.fill(0.0)
+        blocks.put(other, first)
+        while k > 1:
+            # ca * (cb @ mt) + cb * (ca @ mt), in place in the product.
+            u = self.prod[:k * m * n].reshape(k, m, n)
+            np.matmul(blocks.reshape(-1, n), self.mt, out=u.reshape(-1, n))
+            u[0::2] *= blocks[1::2]
+            u[1::2] *= blocks[0::2]
+            k //= 2
+            blocks = level(k)
+            np.add(u[0::2], u[1::2], out=blocks)
 
 
 def bracket_survival(probs: np.ndarray, leaves: np.ndarray) -> np.ndarray:
@@ -325,47 +417,18 @@ def bracket_survival(probs: np.ndarray, leaves: np.ndarray) -> np.ndarray:
 
     ``leaves`` holds one leaf order per row (shape b x n); the result has
     the same shape and gives, indexed by player id, each player's chance
-    to win that row's bracket.  Round one looks up each pair's two match
-    probabilities directly.  From round two on, every block of the
-    bracket is a length-n row holding its players' survival and zero
-    elsewhere, and sibling blocks ``ca`` and ``cb`` merge as
-    ``ca * (cb @ mt) + cb * (ca @ mt)`` with ``mt = probs.T``: a player's
-    survival times its chance of beating whoever emerges from the
-    sibling block.  This is the product :func:`drawfix._subsetdp.sweep`
-    applies to each halving, here on one fixed halving per block.
-    Brackets are evaluated in chunks of ``_CHUNK_ENTRIES // (n * n / 2)``
-    rows, which bounds the round-two table and leaves every value as it
-    is.
+    to win that row's bracket.  Rounds one and two look up each leaf's
+    chance in the match probabilities and in :func:`_pair_table`: a leaf
+    that meets y in round one and the winner of x against z in round two
+    survives both with P[leaf, y]·w[x, z, leaf].  From round three on,
+    every block of the bracket is a length-n row holding its players'
+    survival and zero elsewhere, and sibling blocks ``ca`` and ``cb``
+    merge as ``ca * (cb @ mt) + cb * (ca @ mt)`` with ``mt = probs.T``: a
+    player's survival times its chance of beating whoever emerges from
+    the sibling block.  This is the product
+    :func:`drawfix._subsetdp.sweep` applies to each halving, here on one
+    fixed halving per block.  Brackets are evaluated in chunks of
+    ``_CHUNK_ENTRIES // (n * n / 4)`` rows, which bounds the first dense
+    round's table and leaves every value as it is.
     """
-    b, n = leaves.shape
-    out = np.ones((b, n))
-    if n == 1:
-        return out
-    mt = np.ascontiguousarray(probs.T)
-    step = min(b, max(1, _CHUNK_ENTRIES // (n * n // 2)))
-    # Every chunk reuses the same two buffers: fresh pages for each
-    # round's arrays cost about as much as the arithmetic on them.
-    table, prod = np.empty((2, step * n * n // 2))
-    for start in range(0, b, step):
-        ids = leaves[start:start + step]
-        m, k = len(ids), n // 2
-        # blocks[j, r] is block j of bracket r, so siblings are the even
-        # and the odd block slabs, each a contiguous m x n array.
-        blocks = table[:k * m * n].reshape(k, m, n)
-        blocks.fill(0.0)
-        a, c = ids[:, 0::2].T, ids[:, 1::2].T
-        pairs, rows = np.arange(k)[:, None], np.arange(m)[None, :]
-        blocks[pairs, rows, a] = probs[a, c]
-        blocks[pairs, rows, c] = probs[c, a]
-        while k > 1:
-            # ca * (cb @ mt) + cb * (ca @ mt), in place in the product.
-            u = prod[:k * m * n].reshape(k, m, n)
-            np.matmul(blocks.reshape(-1, n), mt, out=u.reshape(-1, n))
-            u[0::2] *= blocks[1::2]
-            u[1::2] *= blocks[0::2]
-            k //= 2
-            blocks = table[:k * m * n].reshape(k, m, n)
-            np.add(u[0::2], u[1::2], out=blocks)
-        out[start:start + m] = blocks[0]
-    return out
-
+    return _Survival(probs, _pair_table(probs), len(leaves))(leaves)

@@ -10,6 +10,8 @@ cross-check).
 from __future__ import annotations
 
 import math
+import threading
+from collections import deque
 
 import numpy as np
 
@@ -17,8 +19,9 @@ from . import _subsetdp
 from .core import (
     ProbabilisticTournament,
     _Frozen,
+    _Survival,
+    _pair_table,
     as_rng,
-    bracket_survival,
     num_draws,
     require_exact_size,
     require_model_size,
@@ -74,27 +77,63 @@ def exact_uniform_win_probs(t: ProbabilisticTournament) -> WinProbVector:
     return WinProbVector(entries=entries, method="exact")
 
 
-def _batch_permutations(n: int, b: int, gen: np.random.Generator) -> np.ndarray:
-    base = np.tile(np.arange(n), (b, 1))
-    return gen.permuted(base, axis=1, out=base)
+def _shuffle(leaves: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """Fill each row of leaves with its own uniform permutation of 0..n-1."""
+    leaves[...] = np.arange(leaves.shape[1])
+    return gen.permuted(leaves, axis=1, out=leaves)
 
 
-def _per_draw_exact_batch(probs, n, b, gen) -> np.ndarray:
-    # Canonicalising the sampled leaf orders would not change any
-    # bracket's win vector, so it is skipped.  The column sums add the
-    # brackets in batch order, however bracket_survival chunks them.
-    return bracket_survival(probs, _batch_permutations(n, b, gen)).sum(axis=0)
+class _PerDrawExact:
+    """One worker's per-draw-exact batches, in buffers kept for the call."""
+
+    def __init__(self, probs: np.ndarray, table: np.ndarray, rows: int):
+        self.leaves = np.empty((rows, len(probs)), dtype=np.intp)
+        self.survival = _Survival(probs, table, rows)
+
+    def __call__(self, b: int, gen: np.random.Generator) -> np.ndarray:
+        # Canonicalising the sampled leaf orders would not change any
+        # bracket's win vector, so it is skipped.  The column sums add the
+        # brackets in batch order, however the scorer chunks them.
+        return self.survival(_shuffle(self.leaves[:b], gen)).sum(axis=0)
 
 
-def _full_simulation_batch(probs, n, b, gen) -> np.ndarray:
-    alive = _batch_permutations(n, b, gen)
-    flat = probs.ravel()
-    while alive.shape[1] > 1:
-        a, c = alive[:, 0::2], alive[:, 1::2]
-        u = gen.random(a.shape)
-        # one flat take reads the same values as probs[a, c], faster
-        alive = np.where(u < flat.take(a * n + c), a, c)
-    return np.bincount(alive[:, 0], minlength=n).astype(float)
+class _FullSimulation:
+    """One worker's full-simulation batches, in buffers kept for the call.
+
+    Each round's winners overwrite the buffer its players were read
+    from the round before, so the leaf buffer and one more hold every
+    round.
+    """
+
+    def __init__(self, probs: np.ndarray, rows: int):
+        n = len(probs)
+        self.n = n
+        self.flat = probs.ravel()
+        self.alive = np.empty((2, rows * n), dtype=np.intp)
+        self.draws, self.chances = np.empty((2, rows * max(1, n // 2)))
+        self.won = np.empty(rows * max(1, n // 2), dtype=bool)
+
+    def __call__(self, b: int, gen: np.random.Generator) -> np.ndarray:
+        n = self.n
+        alive, spare = self.alive[0, :b * n].reshape(b, n), self.alive[1]
+        _shuffle(alive, gen)
+        while alive.shape[1] > 1:
+            a, c = alive[:, 0::2], alive[:, 1::2]
+            shape, size = a.shape, a.size
+            u = gen.random(out=self.draws[:size].reshape(shape))
+            winners = spare[:size].reshape(shape)
+            # one flat take reads the same values as probs[a, c], faster
+            np.multiply(a, n, out=winners)
+            winners += c
+            p = self.flat.take(winners, out=self.chances[:size].reshape(shape))
+            # winners = c + (a - c) * (u < p): a wins with probability p
+            won = np.less(u, p, out=self.won[:size].reshape(shape))
+            np.subtract(a, c, out=winners)
+            winners *= won
+            winners += c
+            spare = alive.reshape(-1)
+            alive = winners
+        return np.bincount(alive[:, 0], minlength=n).astype(float)
 
 
 def sample_uniform_win_probs(
@@ -124,25 +163,55 @@ def sample_uniform_win_probs(
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must lie in 1..{MAX_WORKERS}, got {workers}")
-    batch = _per_draw_exact_batch if mode == "per-draw-exact" else _full_simulation_batch
-
     probs = t.probs
+    rows = min(_BATCH, samples)
+    if mode == "per-draw-exact":
+        table = _pair_table(probs)
+
+        def new_worker():
+            return _PerDrawExact(probs, table, rows)
+    else:
+        def new_worker():
+            return _FullSimulation(probs, rows)
+
     # One stream per batch, each a grandchild of the seed through a single
     # child; the pinned and golden sampled results depend on this order.
     gens = as_rng(rng).spawn(1)[0].spawn(-(-samples // _BATCH))
+    batch_sums = [None] * len(gens)
+    todo = deque(range(len(gens)))
+    errors = []
 
-    def run_batch(k: int) -> np.ndarray:
-        return batch(probs, n, min(_BATCH, samples - k * _BATCH), gens[k])
+    def work():
+        # Take the next batch until none is left, scoring every batch in
+        # this worker's own buffers.
+        run = new_worker()
+        while True:
+            try:
+                k = todo.popleft()
+            except IndexError:
+                return
+            batch_sums[k] = run(min(_BATCH, samples - k * _BATCH), gens[k])
 
-    workers = min(workers, len(gens))
-    if workers == 1:
-        batch_sums = list(map(run_batch, range(len(gens))))
-    else:
-        # Imported here: it loads logging, which no other path needs.
-        from concurrent.futures import ThreadPoolExecutor
+    def thread_work():
+        try:
+            work()
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+            todo.clear()
 
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            batch_sums = list(ex.map(run_batch, range(len(gens))))
+    # The calling thread is one of the workers.
+    threads = [threading.Thread(target=thread_work)
+               for _ in range(min(workers, len(gens)) - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+    finally:
+        todo.clear()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
     entries = tuple(
         math.fsum(acc[i] for acc in batch_sums) / samples for i in range(n)

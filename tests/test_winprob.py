@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +24,8 @@ from drawfix import (
     sample_uniform_win_probs,
 )
 from drawfix.stats import _cr_rank_probs
-from drawfix.winprob import _BATCH, MAX_SAMPLES, MAX_WORKERS, _per_draw_exact_batch
+from drawfix.core import _pair_table
+from drawfix.winprob import _BATCH, MAX_SAMPLES, MAX_WORKERS, _PerDrawExact
 
 import oracle
 
@@ -175,17 +180,76 @@ class TestSampled:
         batches = -(-samples // _BATCH)
         assert len(started) <= min(workers, batches)
 
+    def test_workers_under_fast_switching_lose_no_batch(self):
+        # More threads than cores take batches from one queue while the
+        # interpreter switches threads as often as it can.
+        t = generate_cr(CrParams(n=4, upset_prob=0.25))
+        samples = 40 * _BATCH + 7
+        one = sample_uniform_win_probs(t, samples=samples, rng=6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = sample_uniform_win_probs(t, samples=samples, rng=6, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.entries == one.entries
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_failing_batch_stops_the_call(self, workers, monkeypatch):
+        # The error reaches the caller whichever worker raised it, and no
+        # worker thread outlives the call.
+        import drawfix.winprob as winprob
+
+        failed = threading.Event()
+
+        def fail(self, b, gen):
+            # With threads, only they fail; the calling thread's batches
+            # wait for a failure and then succeed.
+            if workers > 1 and threading.current_thread() is threading.main_thread():
+                assert failed.wait(timeout=30)
+                return np.zeros(4)
+            failed.set()
+            raise MemoryError("batch failed")
+
+        monkeypatch.setattr(winprob._PerDrawExact, "__call__", fail)
+        before = threading.active_count()
+        t = generate_cr(CrParams(n=4, upset_prob=0.25))
+        with pytest.raises(MemoryError, match="batch failed"):
+            sample_uniform_win_probs(t, samples=10 * _BATCH, rng=3, workers=workers)
+        assert threading.active_count() == before
+
     def test_model_size_batch_memory(self):
-        # Brackets are scored in chunks, so one batch at the largest field
-        # stays a few MiB.
+        # Brackets are scored in chunks, so one worker's buffers and the
+        # pair table at the largest field stay a few MiB.
         t = generate_cr(CrParams(n=MAX_MODEL_PLAYERS, upset_prob=0.3))
         tracemalloc.start()
         try:
-            _per_draw_exact_batch(t.probs, t.n, _BATCH, np.random.default_rng(0))
+            run = _PerDrawExact(t.probs, _pair_table(t.probs), _BATCH)
+            run(_BATCH, np.random.default_rng(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="minor fault counts are Linux's")
+    def test_batches_reuse_their_pages(self):
+        # A fresh process, so no earlier test has grown the heap: one
+        # worker scores its 49 batches in the same buffers, where a fresh
+        # set of pages per batch would fault about 24,000 times.
+        code = (
+            "import resource\n"
+            "from drawfix import CrParams, generate_cr, sample_uniform_win_probs\n"
+            "t = generate_cr(CrParams(n=16, upset_prob=0.3))\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "sample_uniform_win_probs(t, samples=200_000, rng=1)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert int(out.stdout) < 5000
 
     def test_worker_split_stays_unbiased(self):
         # four threads share the batches; the estimate stays near the
