@@ -12,8 +12,9 @@ model's rank recurrence to full enumeration of the draws and, in float,
 to its own exact rational run within the error bound the scan relies on.
 The command line's counts, choice points, draws, kings and exact win
 probabilities are pinned to the oracle on JSON matrices with awkward names
-and shuffled rows, probability matrices and 0/1 relations alike, and on
-the same fields as CSV matrices, and its CSV rows to its JSON rows.
+and shuffled rows, probability matrices and 0/1 relations alike, on the
+same fields as CSV matrices and, where results stand behind a field, as
+match lists and head-to-head lists, and its CSV rows to its JSON rows.
 """
 import csv
 import json
@@ -31,6 +32,8 @@ from drawfix import (
     CrParams,
     DeterministicTournament,
     EmpiricalSample,
+    HeadToHeadRecord,
+    MatchRecord,
     PlayerTable,
     ProbabilisticTournament,
     canonicalize,
@@ -41,7 +44,10 @@ from drawfix import (
     generate_cr,
     ks_two_sample,
     simulate,
+    write_h2h,
+    write_matches,
     write_prob_matrix,
+    write_ranks,
 )
 from drawfix._subsetdp import sweep
 from drawfix.cli import main
@@ -258,35 +264,76 @@ NAMES = st.text(st.sampled_from("a\"',; é名") | st.characters(), min_size=1, m
 ENTRIES = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
 
 
+# Results of one pair: wins, or aggregate goals, of each side.
+RESULTS = st.tuples(st.integers(0, 7), st.integers(0, 7))
+
+
 @st.composite
 def named_fields(draw):
-    """Names and a matrix in rank order, and the row order of its JSON file.
+    """Names and a matrix in rank order, the row order of its JSON file,
+    and the results behind the matrix, or None.
 
-    About half the matrices are 0/1 relations with int entries, cycles
-    included, and the rest probability matrices.
+    A third of the matrices are 0/1 relations with int entries, cycles
+    included, and each beaten side has no result; a third are shares of
+    the results of each pair, and a third probability matrices with no
+    results behind them.  ``wins[i][j]`` is i's result against j.
     """
     n = draw(SIZES)
     names = draw(st.lists(NAMES, min_size=n, max_size=n, unique=True))
-    binary = draw(st.booleans())
-    probs = [[0 if binary else 0.5] * n for _ in range(n)]
+    kind = draw(st.sampled_from(["relation", "results", "entries"]))
+    probs = [[0 if kind == "relation" else 0.5] * n for _ in range(n)]
+    wins = None if kind == "entries" else [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            probs[i][j] = draw(st.sampled_from([0, 1]) if binary else ENTRIES)
+            if kind == "relation":
+                probs[i][j] = draw(st.sampled_from([0, 1]))
+                wins[i][j], wins[j][i] = probs[i][j], 1 - probs[i][j]
+            elif kind == "results":
+                wins[i][j], wins[j][i] = draw(RESULTS)
+                total = wins[i][j] + wins[j][i]
+                probs[i][j] = wins[i][j] / total if total else 0.5
+            else:
+                probs[i][j] = draw(ENTRIES)
             probs[j][i] = 1 - probs[i][j]
-    return names, probs, draw(st.permutations(range(n)))
+    return names, probs, draw(st.permutations(range(n))), wins
 
 
-def _cli_data(path, out, *argv):
-    """Exit code and JSON ``data`` block of one command on ``path``."""
-    code = main([argv[0], "--input", str(path), *argv[1:], "--format", "json",
+def write_result_lists(tmp, names, wins, order):
+    """The field as a match list and as a head-to-head list, each with the
+    ranks file; pairs are listed in ``order``, and each pair's first-listed
+    player is ``player_a``, of either rank.
+
+    A side's goals are split evenly over its home and away legs, so both
+    sides score the same away goals when their aggregates tie, and the
+    tie goes to the better rank, as the matrix gives it.
+    """
+    ranks = Path(tmp) / "ranks.csv"
+    write_ranks(ranks, PlayerTable(tuple(names)))
+    pairs = [(a, b) for x, a in enumerate(order) for b in order[x + 1:]]
+    matches = []
+    for a, b in pairs:
+        a_away, b_away = wins[a][b] // 2, wins[b][a] // 2
+        matches.append(MatchRecord("2015", names[a], names[b], wins[a][b] - a_away, b_away))
+        matches.append(MatchRecord("2015", names[b], names[a], wins[b][a] - b_away, a_away))
+    write_matches(Path(tmp) / "matches.csv", matches)
+    write_h2h(Path(tmp) / "h2h.csv", [
+        HeadToHeadRecord(names[a], names[b], wins[a][b], wins[b][a]) for a, b in pairs])
+    return [[str(Path(tmp) / name), "--ranks", str(ranks)]
+            for name in ("matches.csv", "h2h.csv")]
+
+
+def _cli_data(source, out, *argv):
+    """Exit code and JSON ``data`` block of one command on ``source``, the
+    input path and the options that go with it."""
+    code = main([argv[0], "--input", *source, *argv[1:], "--format", "json",
                  "--output", str(out)])
     return code, json.loads(out.read_text(encoding="utf-8"))["data"]
 
 
-def _cli_csv(path, out, *argv):
-    """Exit code, header and rows of one command's CSV output on ``path``;
+def _cli_csv(source, out, *argv):
+    """Exit code, header and rows of one command's CSV output on ``source``;
     the header is bare, and an unquoted cell reads as a float."""
-    code = main([argv[0], "--input", str(path), *argv[1:], "--format", "csv",
+    code = main([argv[0], "--input", *source, *argv[1:], "--format", "csv",
                  "--output", str(out)])
     with open(out, newline="", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
@@ -302,7 +349,7 @@ def _csv_cells(row):
 @settings(SETTINGS, max_examples=80)
 @given(named_fields())
 def test_cli_reports_match_oracle(field):
-    names, probs, order = field
+    names, probs, order, wins = field
     n = len(names)
     beats = [[probs[i][j] > 0.5 or (probs[i][j] == 0.5 and i < j) for j in range(n)]
              for i in range(n)]
@@ -321,7 +368,14 @@ def test_cli_reports_match_oracle(field):
             # refuses it before any report.
             assert main(["count", "--input", str(json_path)]) == 2
             return
-        for path in (json_path, csv_path):
+        sources = [[str(json_path)], [str(csv_path)]]
+        if wins is not None:
+            sources += write_result_lists(tmp, names, wins, order)
+        for path in sources:
+            # The CSV reports are held to the JSON ones on the matrix
+            # inputs only, which need no ranks file; that keeps the
+            # property's run time down.
+            csv_out = len(path) == 1
             code, count = _cli_data(path, out, "count", "--stats", "all")
             assert code == 0
             assert count["total_draws"] == len(oracle.all_draws(range(n)))
@@ -330,7 +384,7 @@ def test_cli_reports_match_oracle(field):
             assert [r["nodes_first"] for r in count["players"]] == nodes_first
             assert [r["nodes_all"] for r in count["players"]] == nodes_all
             columns = ["rank", "name", "count", "share", "nodes_first", "nodes_all"]
-            assert _cli_csv(path, out, "count", "--stats", "all") == (
+            assert not csv_out or _cli_csv(path, out, "count", "--stats", "all") == (
                 0, columns, [_csv_cells(r[c] for c in columns) for r in count["players"]])
 
             for target, name in enumerate(names):
@@ -344,14 +398,14 @@ def test_cli_reports_match_oracle(field):
                     assert oracle.tree_winner(tree, beats) == target
                 # The only CSV row with a None cell: no bracket without a draw.
                 columns = ["target", "found", "bracket", "choice_points"]
-                assert _cli_csv(path, out, "fix", f"--target={name}") == (
+                assert not csv_out or _cli_csv(path, out, "fix", f"--target={name}") == (
                     code, columns, [_csv_cells(fix[c] for c in columns)])
 
             code, kings = _cli_data(path, out, "kings")
             assert code == 0
             assert kings["kings"] == [
                 name for i, name in enumerate(names) if oracle.is_king(beats, i)]
-            assert _cli_csv(path, out, "kings") == (
+            assert not csv_out or _cli_csv(path, out, "kings") == (
                 0, ["name", "is_condorcet_winner"],
                 [_csv_cells([k, k == kings["condorcet_winner"]]) for k in kings["kings"]])
 
@@ -362,5 +416,5 @@ def test_cli_reports_match_oracle(field):
             for row, want in zip(winprob["players"], expected):
                 assert abs(row["win_prob"] - want) <= 1e-12
             columns = ["rank", "name", "win_prob"]
-            assert _cli_csv(path, out, "winprob", "--mode", "exact") == (
+            assert not csv_out or _cli_csv(path, out, "winprob", "--mode", "exact") == (
                 0, columns, [_csv_cells(r[c] for c in columns) for r in winprob["players"]])
