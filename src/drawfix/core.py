@@ -46,9 +46,11 @@ MAX_EXACT_PLAYERS = 16
 
 # The upset-model generator holds arrays that grow with n squared: the
 # model matrix and its index arrays (2 GiB each at 16384 players).  The
-# draw sampler's player-space rounds take about n**3 multiply-adds per
-# bracket: 2.6e5 at 64 players, about 0.1 s per 4,096-draw batch, and
-# 4096 times that at 1024 players, minutes per batch.
+# draw sampler's dense player-space rounds take about n**3 / 2
+# multiply-adds per bracket: 1.2e5 at 64 players, about 35 ms per
+# 4,096-draw batch on one core of a 2-vCPU machine, and 4096 times that
+# at 1024 players, minutes per batch; its pair table holds n**3 floats,
+# 2 MiB at 64 players and 8 GiB at 1024.
 MAX_MODEL_PLAYERS = 64
 
 

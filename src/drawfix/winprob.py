@@ -38,7 +38,7 @@ _MODES = ("per-draw-exact", "full-simulation")
 # Fixed caps on the sampler's resource cost, the same on every machine:
 # at most one thread per worker and per batch, and run time linear in
 # the sample count (at n = 16 on one core of a 2-vCPU machine, about
-# 1 s per million per-draw-exact samples and 0.35 s per million
+# 0.6 s per million per-draw-exact samples and 0.3 s per million
 # full-simulation ones).
 MAX_WORKERS = 64
 MAX_SAMPLES = 10_000_000
@@ -101,21 +101,23 @@ class _FullSimulation:
     """One worker's full-simulation batches, in buffers kept for the call.
 
     Each round's winners overwrite the buffer its players were read
-    from the round before, so the leaf buffer and one more hold every
-    round.
+    from the round before, so the leaf buffer and one of half its size
+    hold every round.
     """
 
     def __init__(self, probs: np.ndarray, rows: int):
         n = len(probs)
+        half = rows * max(1, n // 2)
         self.n = n
         self.flat = probs.ravel()
-        self.alive = np.empty((2, rows * n), dtype=np.intp)
-        self.draws, self.chances = np.empty((2, rows * max(1, n // 2)))
-        self.won = np.empty(rows * max(1, n // 2), dtype=bool)
+        self.leaves = np.empty(rows * n, dtype=np.intp)
+        self.spare = np.empty(half, dtype=np.intp)
+        self.draws, self.chances = np.empty((2, half))
+        self.won = np.empty(half, dtype=bool)
 
     def __call__(self, b: int, gen: np.random.Generator) -> np.ndarray:
         n = self.n
-        alive, spare = self.alive[0, :b * n].reshape(b, n), self.alive[1]
+        alive, spare = self.leaves[:b * n].reshape(b, n), self.spare
         _shuffle(alive, gen)
         while alive.shape[1] > 1:
             a, c = alive[:, 0::2], alive[:, 1::2]
