@@ -101,21 +101,21 @@ class _Frozen:
 
     __match_args__: tuple[str, ...] = ()
 
-    def _fields(self) -> tuple:
+    def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}"
-                           for name, value in zip(self.__match_args__, self._fields()))
+                           for name, value in zip(self.__match_args__, self._values()))
         return f"{type(self).__name__}({fields})"
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

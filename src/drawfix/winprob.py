@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
+from functools import partial
 
 import numpy as np
 
@@ -168,13 +169,9 @@ def sample_uniform_win_probs(
     probs = t.probs
     rows = min(_BATCH, samples)
     if mode == "per-draw-exact":
-        table = _pair_table(probs)
-
-        def new_worker():
-            return _PerDrawExact(probs, table, rows)
+        new_worker = partial(_PerDrawExact, probs, _pair_table(probs), rows)
     else:
-        def new_worker():
-            return _FullSimulation(probs, rows)
+        new_worker = partial(_FullSimulation, probs, rows)
 
     # One stream per batch, each a grandchild of the seed through a single
     # child; the pinned and golden sampled results depend on this order.
