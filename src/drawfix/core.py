@@ -376,7 +376,9 @@ class _Survival:
         pairs[..., 0] += ids[:, 1::2]
         np.multiply(ids[:, 1::2], n, out=pairs[..., 1])
         pairs[..., 1] += ids[:, 0::2]
-        self.flat_probs.take(own, out=first)
+        # Every index comes from a permutation of 0..n-1, so the takes can
+        # skip the bounds check, which copies the output buffer.
+        self.flat_probs.take(own, out=first, mode="clip")
         if n > 2:
             # Round two: other holds (x * n + y) * n + i for leaf i and the
             # pair x, y it meets, so the table gives i's chance to beat
@@ -387,7 +389,7 @@ class _Survival:
             quads[:, :, 1] = codes[:, :, 0, None]
             other *= n
             other += ids
-            self.flat_table.take(other, out=second)
+            self.flat_table.take(other, out=second, mode="clip")
             first *= second
 
         def level(k):
@@ -401,8 +403,9 @@ class _Survival:
         np.multiply(self.block_of, m * n, out=self.block_offsets)
         np.add(ids, self.block_offsets, out=other)
         other += self.row_offsets[:m]
-        blocks.fill(0.0)
-        blocks.put(other, first)
+        flat = blocks.reshape(-1)
+        flat.fill(0.0)
+        flat[other] = first
         while k > 1:
             # ca * (cb @ mt) + cb * (ca @ mt), in place in the product.
             u = self.prod[:k * m * n].reshape(k, m, n)

@@ -125,10 +125,11 @@ class _FullSimulation:
             shape, size = a.shape, a.size
             u = gen.random(out=self.draws[:size].reshape(shape))
             winners = spare[:size].reshape(shape)
-            # one flat take reads the same values as probs[a, c], faster
+            # one flat take reads the same values as probs[a, c], faster;
+            # every index is in range, so it skips the bounds check
             np.multiply(a, n, out=winners)
             winners += c
-            p = self.flat.take(winners, out=self.chances[:size].reshape(shape))
+            p = self.flat.take(winners, out=self.chances[:size].reshape(shape), mode="clip")
             # winners = c + (a - c) * (u < p): a wins with probability p
             won = np.less(u, p, out=self.won[:size].reshape(shape))
             np.subtract(a, c, out=winners)
