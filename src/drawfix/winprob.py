@@ -183,33 +183,28 @@ def sample_uniform_win_probs(
 
     def work():
         # Take the next batch until none is left, scoring every batch in
-        # this worker's own buffers.
-        run = new_worker()
-        while True:
-            try:
-                k = todo.popleft()
-            except IndexError:
-                return
-            batch_sums[k] = run(min(_BATCH, samples - k * _BATCH), gens[k])
-
-    def thread_work():
+        # this worker's own buffers.  A failure stops every worker after
+        # its current batch and is raised in the calling thread.
         try:
-            work()
-        except BaseException as exc:  # re-raised in the calling thread
+            run = new_worker()
+            while True:
+                try:
+                    k = todo.popleft()
+                except IndexError:
+                    return
+                batch_sums[k] = run(min(_BATCH, samples - k * _BATCH), gens[k])
+        except BaseException as exc:  # re-raised below
             errors.append(exc)
             todo.clear()
 
     # The calling thread is one of the workers.
-    threads = [threading.Thread(target=thread_work)
+    threads = [threading.Thread(target=work)
                for _ in range(min(workers, len(gens)) - 1)]
     for thread in threads:
         thread.start()
-    try:
-        work()
-    finally:
-        todo.clear()
-        for thread in threads:
-            thread.join()
+    work()
+    for thread in threads:
+        thread.join()
     if errors:
         raise errors[0]
 
