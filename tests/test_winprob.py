@@ -23,8 +23,8 @@ from drawfix import (
     num_draws,
     sample_uniform_win_probs,
 )
-from drawfix.stats import _cr_rank_probs
 from drawfix.core import _pair_table
+from drawfix.stats import _cr_rank_probs
 from drawfix.winprob import _BATCH, MAX_SAMPLES, MAX_WORKERS, _PerDrawExact
 
 import oracle
