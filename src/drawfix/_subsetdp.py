@@ -20,11 +20,12 @@ n = 16 the full set's 6,435).  Each call allocates its block buffers
 once: a block widens its slice of row indices to intp, which keeps
 numpy's ``take`` off its casting path, gathers both halves' rows into
 one buffer and combines them there in place.  The float recurrences
-multiply each level's table by the match matrix once, over at most
-1,820 rows at n = 16, and gather these half products like the rows,
-instead of multiplying every block's halves.  The final level would
-need another table the size of the |S| = n/2 level for them (1.6 MB at
-n = 16), so its blocks multiply their own halves.  A warm ``sweep(16)``
+merge halves by the sub-bracket product (``core._half_products``).
+They multiply each level's table by the match matrix once, over at
+most 1,820 rows at n = 16, and gather these half products like the
+rows, instead of multiplying every block's halves.  The final level
+would need another table the size of the |S| = n/2 level for them
+(1.6 MB at n = 16), so its blocks multiply their own halves.  A warm ``sweep(16)``
 traces about 2.8 MiB: the 1.6 MB level table, half a MiB of buffers and
 the temporary through which ``take`` checks a block's row indices.
 The same block loop serves three recurrences: :func:`sweep` (float64
@@ -54,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import require_exact_size
+from .core import _half_products, _merge, require_exact_size
 
 __all__ = ["plan", "sweep", "winner_masks", "choice_points", "halvings", "bit_indices",
            "combine_count"]
@@ -133,12 +134,12 @@ def plan(n: int) -> Plan:
     return Plan(levels=tuple(levels))
 
 
-def _levels(p: Plan, table: np.ndarray, combine, reduce, half=None):
+def _levels(p: Plan, table: np.ndarray, combine, reduce, mt=None):
     """Yield (level, table) for every level of the plan, bottom up.
 
     ``table`` holds the singleton rows.  Each block gathers the half rows
-    of its halvings into ``ta`` and ``tb`` and, given ``half(src, out)``,
-    their half products into ``ua`` and ``ub``.  ``combine(ta, tb)``, or
+    of its halvings into ``ta`` and ``tb`` and, given ``mt``, their half
+    products into ``ua`` and ``ub``.  ``combine(ta, tb)``, or
     ``combine(ta, tb, ua, ub)`` with half products, leaves each halving's
     contribution in ``ta``, and the ufunc ``reduce`` folds every parent's
     contributions in plan order.  The caller may finish a yielded table
@@ -147,14 +148,14 @@ def _levels(p: Plan, table: np.ndarray, combine, reduce, half=None):
     # With half products a block gathers twice the rows, 16 or 32 floats
     # wide, so it takes a quarter of the halvings: a sweep's buffers stay
     # at half a MiB.
-    rows = _BLOCK_ROWS if half is None else max(1, _BLOCK_ROWS // 4)
+    rows = _BLOCK_ROWS if mt is None else max(1, _BLOCK_ROWS // 4)
     rows = min(rows, max((len(level.a_rows) for level in p.levels), default=1))
     width = table.shape[1:]
     # A block of m halvings gathers its A halves to rows 1..m and its B
     # halves to rows m+1..2m; row 0 carries a parent's running sum from
     # one chunk of it to the next.
     t_buf = np.empty((2 * rows + 1,) + width, dtype=table.dtype)
-    u_buf = None if half is None else np.empty_like(t_buf)
+    u_buf = None if mt is None else np.empty_like(t_buf)
     idx = np.empty(2 * rows, dtype=np.intp)
     for level in p.levels:
         k, total = level.k, len(level.a_rows)
@@ -162,9 +163,9 @@ def _levels(p: Plan, table: np.ndarray, combine, reduce, half=None):
         # The final level's half products would take another table the
         # size of the previous one, so its blocks compute their own.
         u = None
-        if half is not None and level is not p.levels[-1]:
+        if mt is not None and level is not p.levels[-1]:
             u = np.empty_like(table)
-            half(table, u)
+            _half_products(table, mt, u)
         # A block holds whole parents, or one chunk of a parent with more
         # halvings than a block.
         span = rows // k * k
@@ -184,12 +185,12 @@ def _levels(p: Plan, table: np.ndarray, combine, reduce, half=None):
             # does, so a bad plan row raises instead of reading a clipped one.
             table.take(ix, axis=0, out=gathered)
             ta, tb = gathered[:m], gathered[m:]
-            if half is None:
+            if mt is None:
                 combine(ta, tb)
             else:
                 products = u_buf[1:2 * m + 1]
                 if u is None:
-                    half(gathered, products)
+                    _half_products(gathered, mt, products)
                 else:
                     u.take(ix, axis=0, out=products)
                 combine(ta, tb, products[:m], products[m:])
@@ -212,17 +213,11 @@ def sweep(n: int, matrix: np.ndarray) -> np.ndarray:
     """
     mt = np.ascontiguousarray(np.asarray(matrix, dtype=float).T)
 
-    def half(t, out):
-        np.matmul(t, mt, out=out)
-
     def combine(ta, tb, ua, ub):
-        # ta * (tb @ mt) + tb * (ta @ mt), in place.
-        ta *= ub
-        tb *= ua
-        ta += tb
+        _merge(ta, tb, ua, ub, out=ta)
 
     table = np.eye(n)
-    for _, table in _levels(plan(n), table, combine, np.add, half):
+    for _, table in _levels(plan(n), table, combine, np.add, mt):
         pass
     return table[0]
 
@@ -278,15 +273,12 @@ def choice_points(n: int, beats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     winners.
     Returns the two length-n vectors (N, CP).
     """
+    # A row [N | CP], read as two n-wide rows, has the half products [u | v].
     mt = np.ascontiguousarray(np.asarray(beats, dtype=float).T)
-
-    def half(t, out):
-        # A row [N | CP] read as two n-wide rows gives [u | v].
-        np.matmul(t.reshape(-1, n), mt, out=out.reshape(-1, n))
 
     def combine(ta, tb, ua, ub):
         # In place, in the order of the sums above: CP first, while N,
-        # u_A and u_B still hold their gathered values.
+        # u_A and u_B still hold their gathered values, then N.
         na, pa, nb, pb = ta[:, :n], ta[:, n:], tb[:, :n], tb[:, n:]
         pa *= ub[:, :n] > 0
         ub[:, n:] *= na
@@ -295,12 +287,10 @@ def choice_points(n: int, beats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pa += ua[:, n:]
         pb *= ua[:, :n]
         pa += pb
-        ub[:, :n] *= na
-        ua[:, :n] *= nb
-        np.add(ub[:, :n], ua[:, :n], out=na)
+        _merge(na, nb, ua[:, :n], ub[:, :n], out=na)
 
     table = np.hstack([np.eye(n), np.zeros((n, n))])
-    for level, table in _levels(plan(n), table, combine, np.add, half):
+    for level, table in _levels(plan(n), table, combine, np.add, mt):
         np.add(table[:, n:], level.k, out=table[:, n:], where=table[:, :n] > 0)
     return table[0, :n], table[0, n:]
 

@@ -91,13 +91,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _Frozen:
-    """Fields named in ``__match_args__``, set once by ``__init__``.
-
-    The repr shows the fields in that order, and two objects of the same
-    class are equal, and hash alike, when their fields are.  A field
-    cannot be assigned or deleted after ``__init__``.
-    """
+class _Fields:
+    """Fields named in ``__match_args__``, shown in that order by the repr
+    and compared by ``==``; no hash.  No ``__setattr__`` either: the
+    solver bumps a counter field in its inner loop."""
 
     __match_args__: tuple[str, ...] = ()
 
@@ -113,6 +110,11 @@ class _Frozen:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()
+
+
+class _Frozen(_Fields):
+    """Fields set once by ``__init__``: they hash, and cannot be assigned
+    or deleted."""
 
     def __hash__(self) -> int:
         return hash(self._values())
@@ -322,6 +324,32 @@ def simulate(draw: Draw, t: DeterministicTournament) -> int:
 _CHUNK_ENTRIES = 1 << 16
 
 
+def _half_products(t: np.ndarray, mt: np.ndarray, out: np.ndarray) -> None:
+    """The sub-bracket product ``out = t @ mt``, ``t`` and the contiguous
+    ``out`` read as rows of n = len(mt) entries, with ``mt = probs.T``.
+
+    A row ``c`` holding each player's chance to win a sub-bracket, zero
+    outside it, gives in ``(c @ mt)[i]`` player i's chance to beat the
+    sub-bracket's winner; so siblings ``ca`` and ``cb`` merge as
+    ``ca * (cb @ mt) + cb * (ca @ mt)`` (:func:`_merge`).  The subset
+    sweeps of :mod:`drawfix._subsetdp` merge every halving of a subset,
+    weighting by draw counts, and :func:`bracket_survival` the one
+    halving of each block of a bracket.
+    """
+    n = len(mt)
+    np.matmul(t.reshape(-1, n), mt, out=out.reshape(-1, n))
+
+
+def _merge(ca: np.ndarray, cb: np.ndarray, ua: np.ndarray, ub: np.ndarray,
+           out: np.ndarray) -> np.ndarray:
+    """``out = ca * ub + cb * ua``, returned, where ``ua`` and ``ub`` hold
+    the half products of ``ca`` and ``cb`` and are overwritten; see
+    :func:`_half_products`.  ``out`` may be ``ca`` or ``cb``."""
+    ub *= ca
+    ua *= cb
+    return np.add(ub, ua, out=out)
+
+
 def _pair_table(probs: np.ndarray) -> np.ndarray:
     """n x n x n table: w[x, y, i] is i's chance to beat the winner of x
     against y, that is P[x, y]·P[i, x] + P[y, x]·P[i, y]."""
@@ -407,14 +435,10 @@ class _Survival:
         flat.fill(0.0)
         flat[other] = first
         while k > 1:
-            # ca * (cb @ mt) + cb * (ca @ mt), in place in the product.
             u = self.prod[:k * m * n].reshape(k, m, n)
-            np.matmul(blocks.reshape(-1, n), self.mt, out=u.reshape(-1, n))
-            u[0::2] *= blocks[1::2]
-            u[1::2] *= blocks[0::2]
+            _half_products(blocks, self.mt, u)
             k //= 2
-            blocks = level(k)
-            np.add(u[0::2], u[1::2], out=blocks)
+            blocks = _merge(blocks[0::2], blocks[1::2], u[0::2], u[1::2], out=level(k))
 
 
 def bracket_survival(probs: np.ndarray, leaves: np.ndarray) -> np.ndarray:
@@ -427,13 +451,9 @@ def bracket_survival(probs: np.ndarray, leaves: np.ndarray) -> np.ndarray:
     that meets y in round one and the winner of x against z in round two
     survives both with P[leaf, y]·w[x, z, leaf].  From round three on,
     every block of the bracket is a length-n row holding its players'
-    survival and zero elsewhere, and sibling blocks ``ca`` and ``cb``
-    merge as ``ca * (cb @ mt) + cb * (ca @ mt)`` with ``mt = probs.T``: a
-    player's survival times its chance of beating whoever emerges from
-    the sibling block.  This is the product
-    :func:`drawfix._subsetdp.sweep` applies to each halving, here on one
-    fixed halving per block.  Brackets are evaluated in chunks of
-    ``_CHUNK_ENTRIES // (n * n / 4)`` rows, which bounds the first dense
-    round's table and leaves every value as it is.
+    survival and zero elsewhere, and sibling blocks merge by the
+    sub-bracket product of :func:`_half_products`.  Brackets are
+    evaluated in chunks of ``_CHUNK_ENTRIES // (n * n / 4)`` rows, which
+    bounds the first dense round's table and leaves every value as it is.
     """
     return _Survival(probs, _pair_table(probs), len(leaves))(leaves)

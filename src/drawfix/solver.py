@@ -17,6 +17,7 @@ from . import _subsetdp
 from .core import (
     DeterministicTournament,
     Draw,
+    _Fields,
     num_draws,
     require_exact_size,
 )
@@ -35,7 +36,7 @@ __all__ = [
 ]
 
 
-class SearchStats:
+class SearchStats(_Fields):
     """Instrumentation counters for one solve.
 
     ``choice_points`` counts every halving alternative examined at a
@@ -50,18 +51,6 @@ class SearchStats:
     def __init__(self, choice_points: int = 0, solutions_found: int = 0):
         self.choice_points = choice_points
         self.solutions_found = solutions_found
-
-    def __repr__(self) -> str:
-        return (f"SearchStats(choice_points={self.choice_points!r}, "
-                f"solutions_found={self.solutions_found!r})")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.choice_points, self.solutions_found) == (
-            other.choice_points, other.solutions_found)
-
-    __hash__ = None  # mutable
 
 
 class WinCountReport(NamedTuple):
