@@ -8,6 +8,7 @@ code with the dynamic programs in :mod:`drawfix`, which is the point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -166,17 +167,22 @@ def ks_statistic(a, b):
 
 def ks_permutation_p(a, b):
     """Exact permutation p-value by enumerating every split of the pool."""
-    pool = list(a) + list(b)
-    na = len(a)
     observed = ks_statistic(a, b)
-    hits = total = 0
+    splits = split_statistics(tuple(sorted([*a, *b])), len(a))
+    return sum(1 for d in splits if d >= observed - 1e-12) / len(splits)
+
+
+@functools.lru_cache(maxsize=32)
+def split_statistics(pool, na):
+    """KS statistic of every split of ``pool`` into na values and the rest.
+
+    They depend on the pool alone, so the last pools' are kept."""
+    out = []
     for idx in itertools.combinations(range(len(pool)), na):
         left = [pool[i] for i in idx]
         right = [pool[i] for i in range(len(pool)) if i not in idx]
-        total += 1
-        if ks_statistic(left, right) >= observed - 1e-12:
-            hits += 1
-    return hits / total
+        out.append(ks_statistic(left, right))
+    return out
 
 
 def powerlaw_sample(rng, alpha, xmin, size):

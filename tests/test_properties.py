@@ -15,18 +15,21 @@ probabilities are pinned to the oracle on JSON matrices with awkward names
 and shuffled rows, probability matrices and 0/1 relations alike, on the
 same fields as CSV matrices and, where results stand behind a field, as
 match lists and head-to-head lists, and its CSV rows to its JSON rows.
+Its scan of the upset model is pinned, on the matrices, to the oracle's
+KS test against the model's exact win probabilities.
 """
 import csv
 import json
 import tempfile
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from drawfix import (
     CrParams,
@@ -76,6 +79,10 @@ SIZES = st.sampled_from([1, 2, 4, 8])
 BRACKET_SIZES = st.sampled_from([1, 2, 4, 8, 16])
 SURVIVAL_SIZES = st.sampled_from([1, 2, 4, 8, 16, 32])
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+# A bracket property reports a failing field as drawn: shrinking a
+# 32-player field draws its 496 floats again for every candidate, about
+# 0.1 s each in Hypothesis itself, so a failure took minutes to report.
+SURVIVAL_SETTINGS = settings(SETTINGS, phases=[p for p in Phase if p is not Phase.shrink])
 
 
 @st.composite
@@ -160,7 +167,7 @@ def test_sweep_equals_per_block_reference(weights):
     assert sweep(n, weights).tobytes() == reference_sweep(n, weights).tobytes()
 
 
-@SETTINGS
+@SURVIVAL_SETTINGS
 @given(matrices_and_orders())
 def test_single_draw_is_a_batch_row(case):
     t, orders = case
@@ -171,7 +178,7 @@ def test_single_draw_is_a_batch_row(case):
         assert np.array_equal(bracket_survival(t.probs, np.array([d.leaves]))[0], surv)
 
 
-@SETTINGS
+@SURVIVAL_SETTINGS
 @given(matrices_and_orders())
 def test_bracket_survival_matches_oracle(case):
     t, orders = case
@@ -340,6 +347,27 @@ def _cli_csv(source, out, *argv):
         return code, header, list(csv.reader(fh, quoting=csv.QUOTE_NONNUMERIC))
 
 
+@lru_cache(maxsize=None)
+def _upset_model_sample(n, u):
+    """The upset model's exact uniform-draw win probabilities at u, each
+    correctly rounded, in ascending order."""
+    u = Fraction(u)
+    probs = [[Fraction(1, 2) if i == j else 1 - u if i < j else u for j in range(n)]
+             for i in range(n)]
+    return sorted(float(p) for p in oracle.uniform_win_probs(n, probs))
+
+
+def _oracle_ks(a, b):
+    """The oracle's KS statistic and permutation p-value of a against b.
+
+    Both depend only on how the pooled values order and tie, so the
+    p-value is taken on the values' ranks: pools of distinct values then
+    share the oracle's statistics of every split."""
+    rank = {v: r for r, v in enumerate(sorted(set(a) | set(b)))}
+    return oracle.ks_statistic(a, b), oracle.ks_permutation_p([rank[v] for v in a],
+                                                              [rank[v] for v in b])
+
+
 def _csv_cells(row):
     """A JSON row as ``--format csv`` writes it: None as an empty field,
     a bool as 0 or 1."""
@@ -418,3 +446,28 @@ def test_cli_reports_match_oracle(field):
             columns = ["rank", "name", "win_prob"]
             assert not csv_out or _cli_csv(path, out, "winprob", "--mode", "exact") == (
                 0, columns, [_csv_cells(r[c] for c in columns) for r in winprob["players"]])
+
+            # The scan runs on the matrix inputs only, like the CSV reports;
+            # its reference sample is the exact vector just checked.
+            if not csv_out:
+                continue
+            reference = sorted(r["win_prob"] for r in winprob["players"])
+            scan = ["scan", "--step", "0.1"]
+            if n == 1 or reference[0] <= 0.0:
+                # One player has no upset rate, and a sample must be positive.
+                assert main([scan[0], "--input", *path, *scan[1:]]) == 2
+                continue
+            code, data = _cli_data(path, out, *scan)
+            assert code == 0
+            want = []
+            for u in (0.1, 0.2, 0.3, 0.4, 0.5):
+                d, p = _oracle_ks(reference, _upset_model_sample(n, u))
+                want.append({"upset_prob": u, "statistic": d, "p_value": p,
+                             "method": "permutation", "accepted": p >= 0.05})
+            assert data["steps"] == want
+            accepted = [s["upset_prob"] for s in want if s["accepted"]]
+            assert (data["min_accepted"], data["max_accepted"]) == (
+                min(accepted, default=None), max(accepted, default=None))
+            columns = ["upset_prob", "statistic", "p_value", "accepted"]
+            assert _cli_csv(path, out, *scan) == (
+                0, columns, [_csv_cells(s[c] for c in columns) for s in want])

@@ -164,6 +164,22 @@ class TestSampled:
                                            workers=workers)
             assert got.entries == one.entries
 
+    @pytest.mark.parametrize("mode", ["per-draw-exact", "full-simulation"])
+    @pytest.mark.parametrize("n, chunk", [
+        (n, chunk) for n in (4, 16, 64) for chunk in ("one_row", "odd", "whole_batch")])
+    def test_results_do_not_depend_on_the_chunk_size(self, n, chunk, mode, monkeypatch):
+        # A scorer takes _CHUNK_ENTRIES // (n * n / 4) rows of a batch at a
+        # time; two batches, the second a short one.
+        import drawfix.core as core
+
+        t = generate_cr(CrParams(n=n, upset_prob=0.3))
+        samples = _BATCH + 904
+        expected = sample_uniform_win_probs(t, samples=samples, rng=9, mode=mode).entries
+        rows = {"one_row": 1, "odd": 1007, "whole_batch": _BATCH}[chunk]
+        monkeypatch.setattr(core, "_CHUNK_ENTRIES", rows * max(1, n * n // 4))
+        got = sample_uniform_win_probs(t, samples=samples, rng=9, mode=mode)
+        assert got.entries == expected
+
     @pytest.mark.parametrize("samples, workers", [(10, 64), (5000, 64),
                                                   (20_000, 2), (20_000, 3)])
     def test_threads_at_most_one_per_batch(self, samples, workers, monkeypatch):
