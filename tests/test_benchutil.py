@@ -2,8 +2,8 @@
 
 No child process starts here: every ``measure`` is a stand-in that
 returns made-up metrics, so these tests pin each tree's clean copy of
-its source, the alternation order, the summaries, the ratio block and
-the document's schema, not any timing.
+its source, the alternation order, the summaries, the ratio block with
+its per-run spread and the document's schema, not any timing.
 """
 import json
 import sys
@@ -48,11 +48,20 @@ def test_summaries_are_the_median_and_inclusive_quartiles_of_each_metric():
 
 def test_ratios_divide_the_current_median_by_the_baseline_median():
     def tree(t, m):
-        return {"t": {"x": {"median": t, "q1": 0.0, "q3": 99.0}},
-                "m": {"x": {"median": m, "q1": 0.0, "q3": 99.0}}}
+        return {"x": [{"t": t, "m": m}, {"t": 9 * t, "m": m}, {"t": t / 9, "m": m}]}
 
-    assert benchutil.ratios(tree(4.0, 2.0), tree(1.0, 3.0)) == {"t": {"x": 0.25},
-                                                                "m": {"x": 1.5}}
+    assert benchutil.ratios(tree(4.0, 2.0), tree(1.0, 3.0)) == {
+        "t": {"x": {"ratio": 0.25, "q1": 0.25, "q3": 0.25}},
+        "m": {"x": {"ratio": 1.5, "q1": 1.5, "q3": 1.5}},
+    }
+
+
+def test_ratio_spread_is_the_quartiles_of_the_ratios_of_run_i():
+    # The medians, 4 and 2, give the ratio; the runs pair by index, so
+    # the per-run ratios are 0.5, 1, 2, 4 and 0.25.
+    base = {"x": [{"t": 4.0}, {"t": 2.0}, {"t": 1.0}, {"t": 4.0}, {"t": 8.0}]}
+    cur = {"x": [{"t": 2.0}, {"t": 2.0}, {"t": 2.0}, {"t": 16.0}, {"t": 2.0}]}
+    assert benchutil.ratios(base, cur) == {"t": {"x": {"ratio": 0.5, "q1": 0.5, "q3": 2.0}}}
 
 
 def test_compare_prepares_clean_copies_then_writes_one_schema(tmp_path, monkeypatch):
@@ -103,8 +112,12 @@ def test_compare_prepares_clean_copies_then_writes_one_schema(tmp_path, monkeypa
         "x": {"median": 2.0, "q1": 1.5, "q3": 2.5},
         "y": {"median": 20.0, "q1": 15.0, "q3": 25.0},
     }
-    assert doc["current_over_baseline"] == {"wall_s": {"x": 0.5, "y": 0.5},
-                                            "peak_mb": {"x": 1.0, "y": 1.0}}
+    assert doc["current_over_baseline"] == {
+        "wall_s": {"x": {"ratio": 0.5, "q1": 0.5, "q3": 0.5},
+                   "y": {"ratio": 0.5, "q1": 0.5, "q3": 0.5}},
+        "peak_mb": {"x": {"ratio": 1.0, "q1": 1.0, "q3": 1.0},
+                    "y": {"ratio": 1.0, "q1": 1.0, "q3": 1.0}},
+    }
 
 
 def test_compare_without_a_baseline_writes_no_ratios(tmp_path, capsys):

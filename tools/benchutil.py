@@ -20,9 +20,12 @@ same machine load.
 
 Schema: ``trees`` holds, per tree, ``commit``, ``src_modified`` and
 ``sources_sha256`` (over the copy's ``src/drawfix/*.py``), then per
-metric and per case the ``median``, ``q1`` and ``q3`` over the runs;
-``current_over_baseline`` holds per metric and per case the ratio of
-the two medians.
+metric and per case the ``median``, ``q1`` and ``q3`` over the runs.
+``current_over_baseline`` holds per metric and per case the ``ratio`` of
+the two medians, and the ``q1`` and ``q3`` of the per-run ratios: run i
+of the current tree over run i of the baseline, the two measured in turn
+within run i, so that machine load moves both sides of a per-run ratio
+alike and its spread shows how far load alone moves the ratio.
 """
 from __future__ import annotations
 
@@ -75,10 +78,18 @@ def summarize(runs: dict) -> dict:
 
 
 def ratios(baseline: dict, current: dict) -> dict:
-    """``{metric: {case: current median / baseline median}}`` of two summaries."""
-    return {metric: {case: current[metric][case]["median"] / base["median"]
-                     for case, base in cases.items()}
-            for metric, cases in baseline.items()}
+    """``{metric: {case: {"ratio", "q1", "q3"}}}`` of two trees'
+    ``{case: [{metric: value}]}``: the current median over the baseline
+    median, and the quartiles of the ratios of the two trees' run i."""
+    def ratio(metric, case):
+        base = [run[metric] for run in baseline[case]]
+        cur = [run[metric] for run in current[case]]
+        spread = summary([c / b for c, b in zip(cur, base)])
+        return {"ratio": statistics.median(cur) / statistics.median(base),
+                "q1": spread["q1"], "q3": spread["q3"]}
+
+    metrics = next(iter(baseline.values()))[0]
+    return {metric: {case: ratio(metric, case) for case in baseline} for metric in metrics}
 
 
 def describe(tree: Tree) -> dict:
@@ -190,7 +201,7 @@ def compare(doc: str, cases: dict[str, str], measure, what: str, prepare=None,
         "trees": {label: {**described[label], **summaries[label]} for label in checkouts},
     }
     if "baseline" in summaries:
-        out["current_over_baseline"] = ratios(summaries["baseline"], summaries["current"])
+        out["current_over_baseline"] = ratios(runs["baseline"], runs["current"])
     text = json.dumps(out, indent=2) + "\n"
     if args.output:
         args.output.write_text(text)
