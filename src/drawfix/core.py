@@ -344,7 +344,7 @@ def _merge(ca: np.ndarray, cb: np.ndarray, ua: np.ndarray, ub: np.ndarray,
            out: np.ndarray) -> np.ndarray:
     """``out = ca * ub + cb * ua``, returned, where ``ua`` and ``ub`` hold
     the half products of ``ca`` and ``cb`` and are overwritten; see
-    :func:`_half_products`.  ``out`` may be ``ca`` or ``cb``."""
+    :func:`_half_products`.  ``out`` may overlap ``ca`` and ``cb``."""
     ub *= ca
     ua *= cb
     return np.add(ub, ua, out=out)
