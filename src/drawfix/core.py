@@ -187,9 +187,7 @@ class DeterministicTournament(_Frozen):
 
     def to_probabilistic(self) -> "ProbabilisticTournament":
         """Degenerate 0/1 probability matrix for the same relation."""
-        p = self.beats.astype(float)
-        np.fill_diagonal(p, 0.5)
-        return ProbabilisticTournament(players=self.players, probs=p)
+        return ProbabilisticTournament(players=self.players, probs=self.beats)
 
 
 class ProbabilisticTournament(_Frozen):
@@ -362,9 +360,11 @@ class _Survival:
 
     Every batch reuses the same survival, index and round buffers: fresh
     pages for each round's arrays cost about as much as the arithmetic on
-    them.  Calling it with a b x n array of leaf orders returns a b x n
-    view of its survival buffer, valid until the next call; see
-    :func:`bracket_survival` for the method.
+    them.  Two column maps, made once, give the leaves that rounds one and
+    two read: ``opponent[j] = j ^ 1``, and ``pair[j] = (j ^ 2) & ~1``, the
+    first leaf of the pair leaf j meets in round two.  Called with a b x n
+    array of leaf orders, it returns a b x n view of its survival buffer,
+    valid until the next call; see :func:`bracket_survival`.
     """
 
     def __init__(self, probs: np.ndarray, table: np.ndarray, rows: int):
@@ -374,11 +374,13 @@ class _Survival:
         self.mt = np.ascontiguousarray(probs.T)
         self.survival = np.ones((rows, n))  # a lone player always wins
         self.step = step = min(rows, max(1, _CHUNK_ENTRIES // max(1, n * n // 4)))
+        leaf = np.arange(n)
+        self.opponent = leaf ^ 1
+        self.pair = (leaf ^ 2) & ~1
         # Leaf j of a chunk row lands in block j // 4 of the first dense
         # round, whose blocks hold four leaves each (two at n = 2).
         self.first_blocks = n // min(n, 4)
-        self.block_of = np.arange(n) // min(n, 4)
-        self.block_offsets = np.empty(n, dtype=np.intp)
+        self.block_of = leaf // min(n, 4)
         self.row_offsets = np.arange(step)[:, None] * n
         self.index = np.empty((2, step, n), dtype=np.intp)
         self.won = np.empty((2, step, n))
@@ -399,22 +401,16 @@ class _Survival:
         own, other = self.index[:, :m]
         first, second = self.won[:, :m]
         # Round one: own holds x * n + y for each leaf x and its opponent y.
-        pairs = own.reshape(m, n // 2, 2)
-        np.multiply(ids[:, 0::2], n, out=pairs[..., 0])
-        pairs[..., 0] += ids[:, 1::2]
-        np.multiply(ids[:, 1::2], n, out=pairs[..., 1])
-        pairs[..., 1] += ids[:, 0::2]
-        # Every index comes from a permutation of 0..n-1, so the takes can
-        # skip the bounds check, which copies the output buffer.
+        # Every index is in range, so the takes can skip the bounds check,
+        # which copies the output buffer.
+        np.multiply(ids, n, out=own)
+        own += ids.take(self.opponent, axis=1, out=other, mode="clip")
         self.flat_probs.take(own, out=first, mode="clip")
         if n > 2:
             # Round two: other holds (x * n + y) * n + i for leaf i and the
             # pair x, y it meets, so the table gives i's chance to beat
             # the winner of that pair.
-            quads = other.reshape(m, n // 4, 2, 2)
-            codes = pairs[..., 0].reshape(m, n // 4, 2)
-            quads[:, :, 0] = codes[:, :, 1, None]
-            quads[:, :, 1] = codes[:, :, 0, None]
+            own.take(self.pair, axis=1, out=other, mode="clip")
             other *= n
             other += ids
             self.flat_table.take(other, out=second, mode="clip")
@@ -428,8 +424,7 @@ class _Survival:
         # block j // 4 of row r starts at flat index ((j // 4) * m + r) * n.
         k = self.first_blocks
         blocks = level(k)
-        np.multiply(self.block_of, m * n, out=self.block_offsets)
-        np.add(ids, self.block_offsets, out=other)
+        np.add(ids, self.block_of * (m * n), out=other)
         other += self.row_offsets[:m]
         flat = blocks.reshape(-1)
         flat.fill(0.0)

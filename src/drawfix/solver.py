@@ -118,16 +118,20 @@ def enumeration_choice_points(t: DeterministicTournament) -> tuple[int, ...]:
     Entry w equals ``enumerate_winning_draws(t, w).stats.choice_points``
     once that stream is exhausted (0 when w wins no draw), without
     walking a single draw: one recurrence over sub-brackets (see
-    _subsetdp.choice_points) gives every player's total.
+    _subsetdp.choice_points) gives every player's total.  The counts N it
+    also returns are checked in O(n), not by a second count sweep: they
+    are integral, sum to num_draws(n) and, for n > 1, are nonzero exactly
+    where the choice points are.
     """
     n = t.n
     require_exact_size(n)
     counts, points = _subsetdp.choice_points(n, t.beats)
-    if not np.array_equal(points, np.floor(points)):
+    if (counts % 1).any() or (points % 1).any():
         raise RuntimeError("choice-point recurrence produced a fraction; this is a bug")
     if points.max() >= 2**53:
         raise RuntimeError("choice-point recurrence left the exact float range; this is a bug")
-    if not np.array_equal(counts, _subsetdp.sweep(n, t.beats.astype(float))):
+    walked = (counts != 0) & (n > 1)  # a lone player wins without a choice
+    if counts.sum() != num_draws(n) or not np.array_equal(points != 0, walked):
         raise RuntimeError("choice-point recurrence disagrees with the count; this is a bug")
     return tuple(int(p) for p in points)
 

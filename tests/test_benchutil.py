@@ -3,9 +3,12 @@
 No child process starts here: every ``measure`` is a stand-in that
 returns made-up metrics, so these tests pin each tree's clean copy of
 its source, the alternation order, the summaries, the ratio block with
-its per-run spread and the document's schema, not any timing.
+its per-run spread and the document's schema, not any timing.  The
+committed bench files are read only to check that each ratio lies
+inside its own spread.
 """
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -46,7 +49,7 @@ def test_summaries_are_the_median_and_inclusive_quartiles_of_each_metric():
     }
 
 
-def test_ratios_divide_the_current_median_by_the_baseline_median():
+def test_a_steady_per_run_ratio_is_the_ratio_whatever_the_load():
     def tree(t, m):
         return {"x": [{"t": t, "m": m}, {"t": 9 * t, "m": m}, {"t": t / 9, "m": m}]}
 
@@ -57,11 +60,37 @@ def test_ratios_divide_the_current_median_by_the_baseline_median():
 
 
 def test_ratio_spread_is_the_quartiles_of_the_ratios_of_run_i():
-    # The medians, 4 and 2, give the ratio; the runs pair by index, so
-    # the per-run ratios are 0.5, 1, 2, 4 and 0.25.
+    # The runs pair by index, so the per-run ratios are 0.5, 1, 2, 4 and
+    # 0.25; their median is the ratio, not the medians' 2 / 4.
     base = {"x": [{"t": 4.0}, {"t": 2.0}, {"t": 1.0}, {"t": 4.0}, {"t": 8.0}]}
     cur = {"x": [{"t": 2.0}, {"t": 2.0}, {"t": 2.0}, {"t": 16.0}, {"t": 2.0}]}
-    assert benchutil.ratios(base, cur) == {"t": {"x": {"ratio": 0.5, "q1": 0.5, "q3": 2.0}}}
+    assert benchutil.ratios(base, cur) == {"t": {"x": {"ratio": 1.0, "q1": 0.5, "q3": 2.0}}}
+
+
+def _inside_its_spread(doc_ratios: dict) -> bool:
+    return all(r["q1"] <= r["ratio"] <= r["q3"]
+               for cases in doc_ratios.values() for r in cases.values())
+
+
+def test_every_ratio_lies_inside_its_spread():
+    # Load that lands on different runs on the two sides: the ratio of
+    # the medians, 10 / 1, lies outside the per-run ratios' 1 to 1.
+    base = {"x": [{"t": 1.0}, {"t": 1.0}, {"t": 1.0}, {"t": 10.0}, {"t": 10.0}]}
+    cur = {"x": [{"t": 1.0}, {"t": 1.0}, {"t": 10.0}, {"t": 10.0}, {"t": 10.0}]}
+    assert benchutil.ratios(base, cur) == {"t": {"x": {"ratio": 1.0, "q1": 1.0, "q3": 1.0}}}
+    rng = random.Random(5)
+    for runs in range(2, 24):
+        def tree():
+            return {case: [{"t": rng.lognormvariate(0, 1), "m": rng.choice([1.0, 2.0])}
+                           for _ in range(runs)] for case in "xyz"}
+
+        assert _inside_its_spread(benchutil.ratios(tree(), tree()))
+
+
+@pytest.mark.parametrize("name", ["BENCH_cli.json", "BENCH_subsetdp.json"])
+def test_committed_bench_files_keep_every_ratio_inside_its_spread(name):
+    doc = json.loads((benchutil.ROOT / name).read_text())
+    assert _inside_its_spread(doc["current_over_baseline"])
 
 
 def test_compare_prepares_clean_copies_then_writes_one_schema(tmp_path, monkeypatch):

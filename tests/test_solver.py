@@ -184,6 +184,31 @@ class TestEnumerationChoicePoints:
         with pytest.raises(RuntimeError, match="bug"):
             enumeration_choice_points(cycle4)
 
+    def test_runs_no_count_sweep(self, monkeypatch):
+        # The recurrence returns the counts beside the choice points, so
+        # checking them needs no second sweep.
+        calls = []
+        sweep = _subsetdp.sweep
+        monkeypatch.setattr(_subsetdp, "sweep", lambda *args: calls.append(args) or sweep(*args))
+        t = random_deterministic(16, np.random.default_rng(8))
+        assert len(enumeration_choice_points(t)) == 16
+        assert calls == []
+
+    def test_a_dropped_draw_is_a_bug(self, monkeypatch):
+        # The top player keeps a nonzero count, so only the total shows it.
+        choice_points = _subsetdp.choice_points
+
+        def dropped(n, beats):
+            counts, points = choice_points(n, beats)
+            counts[np.argmax(counts)] -= 1
+            return counts, points
+
+        t = random_deterministic(8, np.random.default_rng(9))
+        assert max(count_winning_draws(t).counts) > 1
+        monkeypatch.setattr(_subsetdp, "choice_points", dropped)
+        with pytest.raises(RuntimeError, match="this is a bug"):
+            enumeration_choice_points(t)
+
 
 class TestKings:
     def test_cycle_kings(self, cycle4):

@@ -21,11 +21,12 @@ same machine load.
 Schema: ``trees`` holds, per tree, ``commit``, ``src_modified`` and
 ``sources_sha256`` (over the copy's ``src/drawfix/*.py``), then per
 metric and per case the ``median``, ``q1`` and ``q3`` over the runs.
-``current_over_baseline`` holds per metric and per case the ``ratio`` of
-the two medians, and the ``q1`` and ``q3`` of the per-run ratios: run i
-of the current tree over run i of the baseline, the two measured in turn
-within run i, so that machine load moves both sides of a per-run ratio
-alike and its spread shows how far load alone moves the ratio.
+``current_over_baseline`` holds per metric and per case the median
+(``ratio``), ``q1`` and ``q3`` of the per-run ratios: run i of the
+current tree over run i of the baseline, the two measured in turn within
+run i, so that machine load moves both sides of a per-run ratio alike
+and its spread shows how far load alone moves the ratio.  A ratio of two
+medians, taken over different runs, could fall outside that spread.
 """
 from __future__ import annotations
 
@@ -79,14 +80,12 @@ def summarize(runs: dict) -> dict:
 
 def ratios(baseline: dict, current: dict) -> dict:
     """``{metric: {case: {"ratio", "q1", "q3"}}}`` of two trees'
-    ``{case: [{metric: value}]}``: the current median over the baseline
-    median, and the quartiles of the ratios of the two trees' run i."""
+    ``{case: [{metric: value}]}``: the median and quartiles of the per-run
+    ratios, run i of the current tree over run i of the baseline."""
     def ratio(metric, case):
-        base = [run[metric] for run in baseline[case]]
-        cur = [run[metric] for run in current[case]]
-        spread = summary([c / b for c, b in zip(cur, base)])
-        return {"ratio": statistics.median(cur) / statistics.median(base),
-                "q1": spread["q1"], "q3": spread["q3"]}
+        pairs = zip(current[case], baseline[case])
+        spread = summary([cur[metric] / base[metric] for cur, base in pairs])
+        return {"ratio": spread["median"], "q1": spread["q1"], "q3": spread["q3"]}
 
     metrics = next(iter(baseline.values()))[0]
     return {metric: {case: ratio(metric, case) for case in baseline} for metric in metrics}
