@@ -80,11 +80,9 @@ def test_every_ratio_lies_inside_its_spread():
     assert benchutil.ratios(base, cur) == {"t": {"x": {"ratio": 1.0, "q1": 1.0, "q3": 1.0}}}
     rng = random.Random(5)
     for runs in range(2, 24):
-        def tree():
-            return {case: [{"t": rng.lognormvariate(0, 1), "m": rng.choice([1.0, 2.0])}
-                           for _ in range(runs)] for case in "xyz"}
-
-        assert _inside_its_spread(benchutil.ratios(tree(), tree()))
+        base, cur = ({"x": [{"t": rng.lognormvariate(0, 1)} for _ in range(runs)]}
+                     for _ in range(2))
+        assert _inside_its_spread(benchutil.ratios(base, cur))
 
 
 @pytest.mark.parametrize("name", ["BENCH_cli.json", "BENCH_subsetdp.json"])

@@ -190,8 +190,8 @@ class TestEnumerationChoicePoints:
         calls = []
         sweep = _subsetdp.sweep
         monkeypatch.setattr(_subsetdp, "sweep", lambda *args: calls.append(args) or sweep(*args))
-        t = random_deterministic(16, np.random.default_rng(8))
-        assert len(enumeration_choice_points(t)) == 16
+        t = random_deterministic(8, np.random.default_rng(8))
+        assert len(enumeration_choice_points(t)) == 8
         assert calls == []
 
     def test_a_dropped_draw_is_a_bug(self, monkeypatch):
