@@ -53,6 +53,7 @@ from .stats import (
     scan_cr,
 )
 from .winprob import (
+    _MODES,
     MAX_SAMPLES,
     MAX_WORKERS,
     exact_uniform_win_probs,
@@ -375,8 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     winprob = sub.add_parser("winprob", parents=[shared],
                              help="win probability of each player under a uniform draw")
-    winprob.add_argument("--mode",
-                         choices=("exact", "per-draw-exact", "full-simulation"),
+    winprob.add_argument("--mode", choices=("exact", *_MODES),
                          default="exact", help="exact dynamic program or sampling")
     winprob.add_argument("--samples", type=int, default=200_000,
                          help="number of sampled draws (default 200000, "

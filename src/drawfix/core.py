@@ -316,12 +316,6 @@ def simulate(draw: Draw, t: DeterministicTournament) -> int:
     return alive[0]
 
 
-# The first dense round of a chunk holds rows x n/4 x n floats (512 KiB
-# here), so a chunk's rounds stay in a core's cache; a 4,096-draw batch
-# at 16 players is four chunks.
-_CHUNK_ENTRIES = 1 << 16
-
-
 def _half_products(t: np.ndarray, mt: np.ndarray, out: np.ndarray) -> None:
     """The sub-bracket product ``out = t @ mt``, ``t`` and the contiguous
     ``out`` read as rows of n = len(mt) entries, with ``mt = probs.T``.
@@ -331,8 +325,8 @@ def _half_products(t: np.ndarray, mt: np.ndarray, out: np.ndarray) -> None:
     sub-bracket's winner; so siblings ``ca`` and ``cb`` merge as
     ``ca * (cb @ mt) + cb * (ca @ mt)`` (:func:`_merge`).  The subset
     sweeps of :mod:`drawfix._subsetdp` merge every halving of a subset,
-    weighting by draw counts, and :func:`bracket_survival` the one
-    halving of each block of a bracket.
+    weighting by draw counts, and :func:`drawfix.winprob.bracket_survival`
+    the one halving of each block of a bracket.
     """
     n = len(mt)
     np.matmul(t.reshape(-1, n), mt, out=out.reshape(-1, n))
@@ -347,108 +341,3 @@ def _merge(ca: np.ndarray, cb: np.ndarray, ua: np.ndarray, ub: np.ndarray,
     ua *= cb
     return np.add(ub, ua, out=out)
 
-
-def _pair_table(probs: np.ndarray) -> np.ndarray:
-    """n x n x n table: w[x, y, i] is i's chance to beat the winner of x
-    against y, that is P[x, y]·P[i, x] + P[y, x]·P[i, y]."""
-    mt = probs.T
-    return probs[:, :, None] * mt[:, None, :] + mt[:, :, None] * mt[None, :, :]
-
-
-class _Survival:
-    """Scores batches of up to ``rows`` brackets of one field.
-
-    Every batch reuses the same survival, index and round buffers: fresh
-    pages for each round's arrays cost about as much as the arithmetic on
-    them.  Two column maps, made once, give the leaves that rounds one and
-    two read: ``opponent[j] = j ^ 1``, and ``pair[j] = (j ^ 2) & ~1``, the
-    first leaf of the pair leaf j meets in round two.  Called with a b x n
-    array of leaf orders, it returns a b x n view of its survival buffer,
-    valid until the next call; see :func:`bracket_survival`.
-    """
-
-    def __init__(self, probs: np.ndarray, table: np.ndarray, rows: int):
-        n = len(probs)
-        self.flat_probs = probs.ravel()
-        self.flat_table = table.ravel()
-        self.mt = np.ascontiguousarray(probs.T)
-        self.survival = np.ones((rows, n))  # a lone player always wins
-        self.step = step = min(rows, max(1, _CHUNK_ENTRIES // max(1, n * n // 4)))
-        leaf = np.arange(n)
-        self.opponent = leaf ^ 1
-        self.pair = (leaf ^ 2) & ~1
-        # Leaf j of a chunk row lands in block j // 4 of the first dense
-        # round, whose blocks hold four leaves each (two at n = 2).
-        self.first_blocks = n // min(n, 4)
-        self.block_of = leaf // min(n, 4)
-        self.row_offsets = np.arange(step)[:, None] * n
-        self.index = np.empty((2, step, n), dtype=np.intp)
-        self.won = np.empty((2, step, n))
-        self.blocks, self.prod = np.empty((2, step * max(1, n // 4) * n))
-
-    def __call__(self, leaves: np.ndarray) -> np.ndarray:
-        b, n = leaves.shape
-        out = self.survival[:b]
-        if n == 1:
-            return out
-        for start in range(0, b, self.step):
-            ids = leaves[start:start + self.step]
-            self._chunk(ids, out[start:start + len(ids)])
-        return out
-
-    def _chunk(self, ids: np.ndarray, out: np.ndarray) -> None:
-        m, n = ids.shape
-        own, other = self.index[:, :m]
-        first, second = self.won[:, :m]
-        # Round one: own holds x * n + y for each leaf x and its opponent y.
-        # Every index is in range, so the takes can skip the bounds check,
-        # which copies the output buffer.
-        np.multiply(ids, n, out=own)
-        own += ids.take(self.opponent, axis=1, out=other, mode="clip")
-        self.flat_probs.take(own, out=first, mode="clip")
-        if n > 2:
-            # Round two: other holds (x * n + y) * n + i for leaf i and the
-            # pair x, y it meets, so the table gives i's chance to beat
-            # the winner of that pair.
-            own.take(self.pair, axis=1, out=other, mode="clip")
-            other *= n
-            other += ids
-            self.flat_table.take(other, out=second, mode="clip")
-            first *= second
-
-        def level(k):
-            # k blocks of m rows; the last round writes the output rows.
-            return out.reshape(1, m, n) if k == 1 else self.blocks[:k * m * n].reshape(k, m, n)
-
-        # Scatter each leaf's survival into its block's row, at its player:
-        # block j // 4 of row r starts at flat index ((j // 4) * m + r) * n.
-        k = self.first_blocks
-        blocks = level(k)
-        np.add(ids, self.block_of * (m * n), out=other)
-        other += self.row_offsets[:m]
-        flat = blocks.reshape(-1)
-        flat.fill(0.0)
-        flat[other] = first
-        while k > 1:
-            u = self.prod[:k * m * n].reshape(k, m, n)
-            _half_products(blocks, self.mt, u)
-            k //= 2
-            blocks = _merge(blocks[0::2], blocks[1::2], u[0::2], u[1::2], out=level(k))
-
-
-def bracket_survival(probs: np.ndarray, leaves: np.ndarray) -> np.ndarray:
-    """Win probability of every player, for a batch of brackets at once.
-
-    ``leaves`` holds one leaf order per row (shape b x n); the result has
-    the same shape and gives, indexed by player id, each player's chance
-    to win that row's bracket.  Rounds one and two look up each leaf's
-    chance in the match probabilities and in :func:`_pair_table`: a leaf
-    that meets y in round one and the winner of x against z in round two
-    survives both with P[leaf, y]·w[x, z, leaf].  From round three on,
-    every block of the bracket is a length-n row holding its players'
-    survival and zero elsewhere, and sibling blocks merge by the
-    sub-bracket product of :func:`_half_products`.  Brackets are
-    evaluated in chunks of ``_CHUNK_ENTRIES // (n * n / 4)`` rows, which
-    bounds the first dense round's table and leaves every value as it is.
-    """
-    return _Survival(probs, _pair_table(probs), len(leaves))(leaves)

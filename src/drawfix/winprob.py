@@ -3,9 +3,11 @@
 The exact route runs the same halving recurrence as the draw counter,
 with match probabilities in place of 0/1 outcomes, and divides by the
 number of draws.  The sampling route averages over randomly drawn
-brackets, either scoring each sampled bracket exactly (low variance) or
-simulating single match outcomes (the crude estimator, kept as a
-cross-check).
+brackets in batches of _BATCH draws, each scored by one worker class in
+buffers it keeps: ``_Survival`` scores each sampled bracket exactly (low
+variance) and ``_FullSimulation`` plays single match outcomes (the crude
+estimator, kept as a cross-check).  ``_Survival``, also the scorer of
+``bracket_survival``, takes a batch in chunks sized by _CHUNK_ENTRIES.
 """
 from __future__ import annotations
 
@@ -20,8 +22,8 @@ from . import _subsetdp
 from .core import (
     ProbabilisticTournament,
     _Frozen,
-    _Survival,
-    _pair_table,
+    _half_products,
+    _merge,
     as_rng,
     num_draws,
     require_exact_size,
@@ -33,6 +35,11 @@ __all__ = ["WinProbVector", "exact_uniform_win_probs", "sample_uniform_win_probs
 # Fixed batch size: the per-batch generator streams (and therefore the
 # bit-exact result for a given seed) depend on it.
 _BATCH = 4096
+
+# The first dense round of a chunk holds rows x n/4 x n floats (512 KiB
+# here), so a chunk's rounds stay in a core's cache; a batch at 16
+# players is four chunks.
+_CHUNK_ENTRIES = 1 << 16
 
 _MODES = ("per-draw-exact", "full-simulation")
 
@@ -84,18 +91,119 @@ def _shuffle(leaves: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     return gen.permuted(leaves, axis=1, out=leaves)
 
 
-class _PerDrawExact:
-    """One worker's per-draw-exact batches, in buffers kept for the call."""
+def _pair_table(probs: np.ndarray) -> np.ndarray:
+    """n x n x n table: w[x, y, i] is i's chance to beat the winner of x
+    against y, that is P[x, y]·P[i, x] + P[y, x]·P[i, y]."""
+    mt = probs.T
+    return probs[:, :, None] * mt[:, None, :] + mt[:, :, None] * mt[None, :, :]
+
+
+class _Survival:
+    """One worker's per-draw-exact batches of up to ``rows`` brackets.
+
+    Every batch reuses the same leaf, survival, index and round buffers:
+    fresh pages for each round's arrays cost about as much as the
+    arithmetic on them.  Rounds one and two look up each leaf's chance in
+    the match probabilities and in :func:`_pair_table`: a leaf that meets
+    y in round one and the winner of x against z in round two survives
+    both with P[leaf, y]·w[x, z, leaf].  Two column maps, made once, give
+    the leaves those rounds read: ``opponent[j] = j ^ 1``, and
+    ``pair[j] = (j ^ 2) & ~1``, the first leaf of the pair leaf j meets in
+    round two.  From round three on, every block of the bracket is a
+    length-n row holding its players' survival and zero elsewhere, and
+    sibling blocks merge by the sub-bracket product of
+    :func:`drawfix.core._half_products`.  Brackets are scored in chunks of
+    ``_CHUNK_ENTRIES // (n * n / 4)`` rows, which bounds the first dense
+    round's table and leaves every value as it is.
+    """
 
     def __init__(self, probs: np.ndarray, table: np.ndarray, rows: int):
-        self.leaves = np.empty((rows, len(probs)), dtype=np.intp)
-        self.survival = _Survival(probs, table, rows)
+        n = len(probs)
+        self.flat_probs = probs.ravel()
+        self.flat_table = table.ravel()
+        self.mt = np.ascontiguousarray(probs.T)
+        self.leaves = np.empty((rows, n), dtype=np.intp)
+        self.survival = np.ones((rows, n))  # a lone player always wins
+        self.step = step = min(rows, max(1, _CHUNK_ENTRIES // max(1, n * n // 4)))
+        leaf = np.arange(n)
+        self.opponent = leaf ^ 1
+        self.pair = (leaf ^ 2) & ~1
+        # Leaf j of a chunk row lands in block j // 4 of the first dense
+        # round, whose blocks hold four leaves each (two at n = 2).
+        self.first_blocks = n // min(n, 4)
+        self.block_of = leaf // min(n, 4)
+        self.row_offsets = np.arange(step)[:, None] * n
+        self.index = np.empty((2, step, n), dtype=np.intp)
+        self.won = np.empty((2, step, n))
+        self.blocks, self.prod = np.empty((2, step * max(1, n // 4) * n))
 
     def __call__(self, b: int, gen: np.random.Generator) -> np.ndarray:
         # Canonicalising the sampled leaf orders would not change any
         # bracket's win vector, so it is skipped.  The column sums add the
         # brackets in batch order, however the scorer chunks them.
-        return self.survival(_shuffle(self.leaves[:b], gen)).sum(axis=0)
+        return self.score(_shuffle(self.leaves[:b], gen)).sum(axis=0)
+
+    def score(self, leaves: np.ndarray) -> np.ndarray:
+        """Each player's survival in each row's bracket, for a b x n array
+        of leaf orders: a view of the survival buffer, valid until the
+        next call."""
+        b, n = leaves.shape
+        out = self.survival[:b]
+        if n == 1:
+            return out
+        for start in range(0, b, self.step):
+            ids = leaves[start:start + self.step]
+            self._chunk(ids, out[start:start + len(ids)])
+        return out
+
+    def _chunk(self, ids: np.ndarray, out: np.ndarray) -> None:
+        m, n = ids.shape
+        own, other = self.index[:, :m]
+        first, second = self.won[:, :m]
+        # Round one: own holds x * n + y for each leaf x and its opponent y.
+        # Every index is in range, so the takes can skip the bounds check,
+        # which copies the output buffer.
+        np.multiply(ids, n, out=own)
+        own += ids.take(self.opponent, axis=1, out=other, mode="clip")
+        self.flat_probs.take(own, out=first, mode="clip")
+        if n > 2:
+            # Round two: other holds (x * n + y) * n + i for leaf i and the
+            # pair x, y it meets, so the table gives i's chance to beat
+            # the winner of that pair.
+            own.take(self.pair, axis=1, out=other, mode="clip")
+            other *= n
+            other += ids
+            self.flat_table.take(other, out=second, mode="clip")
+            first *= second
+
+        def level(k):
+            # k blocks of m rows; the last round writes the output rows.
+            return out.reshape(1, m, n) if k == 1 else self.blocks[:k * m * n].reshape(k, m, n)
+
+        # Scatter each leaf's survival into its block's row, at its player:
+        # block j // 4 of row r starts at flat index ((j // 4) * m + r) * n.
+        k = self.first_blocks
+        blocks = level(k)
+        np.add(ids, self.block_of * (m * n), out=other)
+        other += self.row_offsets[:m]
+        flat = blocks.reshape(-1)
+        flat.fill(0.0)
+        flat[other] = first
+        while k > 1:
+            u = self.prod[:k * m * n].reshape(k, m, n)
+            _half_products(blocks, self.mt, u)
+            k //= 2
+            blocks = _merge(blocks[0::2], blocks[1::2], u[0::2], u[1::2], out=level(k))
+
+
+def bracket_survival(probs: np.ndarray, leaves: np.ndarray) -> np.ndarray:
+    """Win probability of every player, for a batch of brackets at once.
+
+    ``leaves`` holds one leaf order per row (shape b x n); the result has
+    the same shape and gives, indexed by player id, each player's chance
+    to win that row's bracket, scored as :class:`_Survival` describes.
+    """
+    return _Survival(probs, _pair_table(probs), len(leaves)).score(leaves)
 
 
 class _FullSimulation:
@@ -170,7 +278,7 @@ def sample_uniform_win_probs(
     probs = t.probs
     rows = min(_BATCH, samples)
     if mode == "per-draw-exact":
-        new_worker = partial(_PerDrawExact, probs, _pair_table(probs), rows)
+        new_worker = partial(_Survival, probs, _pair_table(probs), rows)
     else:
         new_worker = partial(_FullSimulation, probs, rows)
 

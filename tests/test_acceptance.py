@@ -35,8 +35,8 @@ from drawfix import (
     simulate,
 )
 from drawfix.cli import main as cli_main
-from drawfix.core import bracket_survival
 from drawfix.stats import _kolmogorov_sf
+from drawfix.winprob import bracket_survival
 
 import oracle
 

@@ -17,7 +17,8 @@ from drawfix import (
     random_draw,
     simulate,
 )
-from drawfix.core import bracket_survival, require_bracket_size, require_exact_size
+from drawfix.core import require_bracket_size, require_exact_size
+from drawfix.winprob import bracket_survival
 
 import oracle
 

@@ -54,7 +54,6 @@ from drawfix import (
 )
 from drawfix._subsetdp import sweep
 from drawfix.cli import main
-from drawfix.core import bracket_survival
 from drawfix.stats import (
     _RANK_PROB_TOL,
     MIN_SCAN_STEP,
@@ -62,6 +61,7 @@ from drawfix.stats import (
     _kolmogorov_sf,
     _ks_rows,
 )
+from drawfix.winprob import bracket_survival
 
 import oracle
 from conftest import (

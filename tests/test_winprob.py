@@ -23,9 +23,16 @@ from drawfix import (
     num_draws,
     sample_uniform_win_probs,
 )
-from drawfix.core import _pair_table
 from drawfix.stats import _cr_rank_probs
-from drawfix.winprob import _BATCH, MAX_SAMPLES, MAX_WORKERS, _PerDrawExact
+from drawfix.winprob import (
+    _BATCH,
+    MAX_SAMPLES,
+    MAX_WORKERS,
+    _Survival,
+    _pair_table,
+    _shuffle,
+    bracket_survival,
+)
 
 import oracle
 
@@ -170,13 +177,13 @@ class TestSampled:
     def test_results_do_not_depend_on_the_chunk_size(self, n, chunk, mode, monkeypatch):
         # A scorer takes _CHUNK_ENTRIES // (n * n / 4) rows of a batch at a
         # time; two batches, the second a short one.
-        import drawfix.core as core
+        import drawfix.winprob as winprob
 
         t = generate_cr(CrParams(n=n, upset_prob=0.3))
         samples = _BATCH + 904
         expected = sample_uniform_win_probs(t, samples=samples, rng=9, mode=mode).entries
         rows = {"one_row": 1, "odd": 1007, "whole_batch": _BATCH}[chunk]
-        monkeypatch.setattr(core, "_CHUNK_ENTRIES", rows * max(1, n * n // 4))
+        monkeypatch.setattr(winprob, "_CHUNK_ENTRIES", rows * max(1, n * n // 4))
         got = sample_uniform_win_probs(t, samples=samples, rng=9, mode=mode)
         assert got.entries == expected
 
@@ -227,12 +234,23 @@ class TestSampled:
             failed.set()
             raise MemoryError("batch failed")
 
-        monkeypatch.setattr(winprob._PerDrawExact, "__call__", fail)
+        monkeypatch.setattr(winprob._Survival, "__call__", fail)
         before = threading.active_count()
         t = generate_cr(CrParams(n=4, upset_prob=0.25))
         with pytest.raises(MemoryError, match="batch failed"):
             sample_uniform_win_probs(t, samples=10 * _BATCH, rng=3, workers=workers)
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n", [2, 16, 64])
+    def test_a_batch_scores_the_brackets_it_draws(self, n):
+        # A short batch: the same seeded stream, shuffled into a fresh
+        # array and scored by bracket_survival, gives the same column sums
+        # bit for bit.
+        t = generate_cr(CrParams(n=n, upset_prob=0.3))
+        b = _BATCH - 5
+        got = _Survival(t.probs, _pair_table(t.probs), _BATCH)(b, np.random.default_rng(4))
+        leaves = _shuffle(np.empty((b, n), dtype=np.intp), np.random.default_rng(4))
+        assert got.tobytes() == bracket_survival(t.probs, leaves).sum(axis=0).tobytes()
 
     def test_model_size_batch_memory(self):
         # Brackets are scored in chunks, so one worker's buffers and the
@@ -240,7 +258,7 @@ class TestSampled:
         t = generate_cr(CrParams(n=MAX_MODEL_PLAYERS, upset_prob=0.3))
         tracemalloc.start()
         try:
-            run = _PerDrawExact(t.probs, _pair_table(t.probs), _BATCH)
+            run = _Survival(t.probs, _pair_table(t.probs), _BATCH)
             run(_BATCH, np.random.default_rng(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
